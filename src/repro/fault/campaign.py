@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.analysis.program import AceMap, analyze_program, entry_context
 from repro.core.config import LeonConfig
@@ -85,6 +85,11 @@ def resolve_builder(program: str):
     raise ConfigurationError(
         f"unknown test program {program!r} "
         f"(choose from {sorted(_BUILDERS)} or random:<seed>)")
+
+
+#: Exits that report the golden final state instead of reading the live
+#: system: the rest of the run's trajectory is provably the golden run's.
+EFFACED_EXITS = frozenset({"reconverged", "static_masked"})
 
 
 @dataclass(frozen=True)
@@ -179,12 +184,6 @@ class CampaignResult:
     instructions: int
     #: Host wall-clock time of the run, seconds (0.0 in pre-existing logs).
     wall_seconds: float = 0.0
-    #: True when a warm-start run was classified early: its architectural
-    #: state at the window close matched the golden run, so the tail was
-    #: skipped and the golden readouts used.  Execution annotation only --
-    #: every *measured* field is identical to the full run's; cold runs
-    #: always report False because they have no golden digest to compare.
-    effaced: bool = False
     #: Device cycles the run consumed, including recovery downtime
     #: (0 in pre-existing logs).
     cycles: int = 0
@@ -199,9 +198,12 @@ class CampaignResult:
     #: exhausted or no applicable rung) and the run ended failed.
     unrecovered: bool = False
     #: How classification concluded: ``"full"`` (the complete measurement
-    #: loop executed) or ``"reconverged"`` (the architectural digest hit a
-    #: golden-timeline checkpoint and the golden readouts were reported).
-    #: ``""`` in pre-grading logs.  Execution annotation, like ``effaced``.
+    #: loop executed), ``"reconverged"`` (the architectural digest hit a
+    #: golden-timeline checkpoint), ``"static_masked"`` (every strike was
+    #: provably dead, nothing executed) or ``"diverged"`` (a fixed point
+    #: was extrapolated to the run end).  ``""`` in pre-grading logs.
+    #: Execution annotation: every *measured* field is identical to the
+    #: full run's.
     exit_reason: str = ""
     #: Instruction count at which grading concluded an early exit
     #: (None for full runs and pre-grading logs).
@@ -209,6 +211,12 @@ class CampaignResult:
     #: Telemetry events of the run (traced executor runs only; never
     #: serialized to the ResultStore -- traces have their own sink).
     trace: Optional[list] = None
+
+    @property
+    def effaced(self) -> bool:
+        """Was the run graded early with the golden readouts?  Cold runs
+        never are: they have no golden timeline to compare against."""
+        return self.exit_reason in EFFACED_EXITS
 
     @property
     def instructions_per_second(self) -> float:
@@ -276,16 +284,14 @@ class CampaignResult:
     def comparable(self) -> Dict[str, object]:
         """The deterministic measurement fields, for byte-identity checks.
 
-        Excludes ``wall_seconds`` (host timing), ``effaced``,
-        ``exit_reason`` and ``graded_at_instruction`` (execution
-        annotations that depend on whether a golden timeline was
-        available, not on what was measured), ``trace`` (observation,
-        with host wall times inside), and the config's ``early_exit``
-        strategy switch.
+        Excludes ``wall_seconds`` (host timing), ``exit_reason`` and
+        ``graded_at_instruction`` (execution annotations that depend on
+        whether a golden timeline was available, not on what was
+        measured), ``trace`` (observation, with host wall times inside),
+        and the config's ``early_exit`` strategy switch.
         """
         out = dataclasses.asdict(self)
         out.pop("wall_seconds", None)
-        out.pop("effaced", None)
         out.pop("exit_reason", None)
         out.pop("graded_at_instruction", None)
         out.pop("trace", None)
@@ -332,16 +338,38 @@ class WarmStart:
     failed: bool
     spin_pc: int
     result_base: int
-    golden: Optional[GoldenRun]
-    #: Golden digest timeline for early-exit grading and strike batching
-    #: (None when the golden run failed before the window closed).
+    #: Golden digest timeline for early-exit grading and strike batching,
+    #: ending in the golden readouts (None when the golden run failed
+    #: before the window closed).
     timeline: Optional[GoldenTimeline] = None
     #: Static ACE map of the program from the snapshot state
     #: (:mod:`repro.analysis.program`), for strike pre-classification.
     #: Only attached when the golden run completed trap-free -- the
-    #: soundness witness the static claims require -- and None for
-    #: pre-static warm starts.
+    #: soundness witness the static claims require.
     ace: Optional[AceMap] = None
+
+
+#: Software tallies a run banks across reset recoveries
+#: (:meth:`Campaign._make_recovery`); all zero until a reset discards
+#: execution state.
+_NO_HARVEST = {"sw_errors": 0, "error_traps": 0, "iterations": 0,
+               "base_sw_errors": 0, "base_iterations": 0}
+
+
+def _read_results(system: LeonSystem, result_base: int,
+                  harvested: Dict[str, int]) -> Dict[str, Any]:
+    """Read out the result area the way the host computer would; the
+    *harvested* tallies carry what earlier reset recoveries banked."""
+    read = system.read_word
+    return dict(
+        sw_errors=harvested["sw_errors"]
+        + read(result_base + 0x14) - harvested["base_sw_errors"],
+        error_traps=harvested["error_traps"]
+        + int(read(result_base + 0x08) == 1),
+        halted=system.iu.halted is not HaltReason.RUNNING,
+        iterations=harvested["iterations"]
+        + read(result_base + 0x10) - harvested["base_iterations"],
+    )
 
 
 class Campaign:
@@ -480,9 +508,21 @@ class Campaign:
 
     def run(self, warm: Optional[WarmStart] = None, *,
             start: Optional[GoldenCheckpoint] = None) -> CampaignResult:
+        """Execute one run in four steps: plan, advance, classify, finish.
+
+        *Plan* builds the run's one system and schedules its strikes on
+        it; a warm run whose every strike the ACE map proves dead is
+        graded there (``static_masked``) and never restored or executed.
+        *Advance* applies the strikes in arrival order.  *Classify* picks
+        the exit -- ``reconverged`` or ``diverged`` from the golden
+        timeline, else ``full`` after draining the tail -- and
+        :meth:`_finish` reports it.  The effaced exits
+        (:data:`EFFACED_EXITS`) read out the golden final state; the
+        others read the live system, plus the divergence extrapolation.
+        """
         started = time.perf_counter()
         config = self.config
-        self._reassert = None  # installed below once the injector exists
+        self._reassert = None  # installed once the prefix has executed
         telemetry = self.telemetry
         traced = telemetry.enabled
         prefix, window, tail = config.phase_instructions()
@@ -496,71 +536,55 @@ class Campaign:
                            recovery=config.recovery,
                            warm=warm is not None)
 
+        # -- plan ------------------------------------------------------------
         if start is not None and (warm is None or start.snapshot is None):
             raise ConfigurationError(
                 "a start checkpoint requires a warm start and a golden "
                 "snapshot at the checkpoint")
-
         model = build_model(config.fault_model, config)
-
+        state = {"executed": 0, "since_flush": 0, "failed": False}
         if warm is not None:
             if warm.key != warm_start_key(config):
                 raise ConfigurationError(
                     "warm start was prepared for an incompatible campaign "
                     "configuration")
-            # Static pre-classification: when every scheduled strike lands
-            # in a register word the ACE map proved dead, the faulted
-            # trajectory *is* the golden trajectory and the run's readouts
-            # are the golden readouts -- report them without restoring or
-            # executing anything.  Gated on ``model.transient``: a
-            # persistent stuck-at/SEFI fault keeps re-asserting, so a
-            # "dead at strike time" word is not dead for the rest of the
-            # run and must never be statically pre-classified (lint rule
-            # FT701 enforces this gate on every ACE-map consumer).
-            if (config.early_exit and config.static_grading
-                    and model.transient and warm.ace is not None
-                    and warm.timeline is not None and not warm.failed
-                    and self.recovery_policy is None):
-                result = self._static_grade(warm, model, started)
-                if result is not None:
-                    return result
             system = self.build_system()
+            spin, result_base = warm.spin_pc, warm.result_base
+            state.update(executed=warm.executed,
+                         since_flush=warm.since_flush, failed=warm.failed)
+        else:
+            system, spin, result_base, _program = self._build_program()
+        # Schedules are a pure function of the beam parameters and the
+        # device geometry, and restore() works in place, so the injector
+        # built on the fresh system stays valid across the restore below.
+        injector = FaultInjector(system)
+        strikes = model.schedule(injector)
+        static = self._statically_masked(warm, model, injector, strikes)
+        if warm is not None and not static:
+            snapshot = warm.snapshot
             if start is not None:
                 # Batched strike scheduling: resume from the golden state
                 # at the checkpoint instead of replaying the strike-free
                 # stretch from the warm snapshot.  Legal only while no
                 # strike has landed yet -- the executor's batch planner
                 # guarantees start.instruction <= the first upset.
-                system.restore(Snapshot.from_bytes(start.snapshot))
-                state = {"executed": start.instruction,
-                         "since_flush": start.since_flush,
-                         "failed": warm.failed}
-            else:
-                system.restore(Snapshot.from_bytes(warm.snapshot))
-                state = {"executed": warm.executed,
-                         "since_flush": warm.since_flush,
-                         "failed": warm.failed}
-            spin, result_base = warm.spin_pc, warm.result_base
-            golden = warm.golden
+                snapshot = start.snapshot
+                state.update(executed=start.instruction,
+                             since_flush=start.since_flush)
+            system.restore(Snapshot.from_bytes(snapshot))
             if (warm.ace is not None and warm.ace.loop_heads
                     and system.jit is not None):
                 # Statically-recovered loop headers are the JIT's candidate
                 # superblock entries: prime them so the first visit
                 # compiles (restore() just invalidated the block cache).
                 system.jit.prime(warm.ace.loop_heads)
-            if traced:
-                telemetry.note("span", phase="setup",
-                               wall_s=time.perf_counter() - started,
-                               instr=state["executed"])
+        if traced:
+            telemetry.note("span", phase="setup",
+                           wall_s=time.perf_counter() - started,
+                           instr=state["executed"])
+            if warm is not None:
                 self._note_ace(warm)
-        else:
-            system, spin, result_base, _program = self._build_program()
-            state = {"executed": 0, "since_flush": 0, "failed": False}
-            golden = None
-            if traced:
-                telemetry.note("span", phase="setup",
-                               wall_s=time.perf_counter() - started,
-                               instr=0)
+        if warm is None:
             prefix_started = time.perf_counter()
             self._run_until(system, spin, state, prefix)
             if traced:
@@ -575,73 +599,49 @@ class Campaign:
         timeline = warm.timeline \
             if (warm is not None and config.early_exit
                 and model.transient) else None
-
-        harvested = {"sw_errors": 0, "error_traps": 0, "iterations": 0,
-                     "base_sw_errors": 0, "base_iterations": 0}
+        harvested = dict(_NO_HARVEST)
         recovery = self._make_recovery(system, result_base, warm, harvested)
-
-        injector = FaultInjector(system)
-        strikes = model.schedule(injector)
         self._reassert = None if model.transient \
             else injector.reassert_persistent
 
+        def advance(target: int) -> bool:
+            return self._advance(system, spin, state, target, recovery,
+                                 harvested, result_base)
+
+        def recovered() -> bool:
+            # Runs that recovered are never graded early: their readouts
+            # include harvested tallies the golden run does not carry.
+            return recovery is not None and bool(recovery.events)
+
+        # -- advance ---------------------------------------------------------
         beam_started = time.perf_counter()
         upsets_by_target: Dict[str, int] = {}
         alive = True
         for strike in strikes:
             strike_at = prefix + min(
                 int(strike.time_s * config.instructions_per_second), window)
-            if strike_at < state["executed"]:
-                raise ConfigurationError(
-                    "start checkpoint lies past the run's first upset")
-            alive = self._advance(system, spin, state, strike_at,
-                                  recovery, harvested, result_base)
-            if not alive:
-                break
+            if not static:
+                if strike_at < state["executed"]:
+                    raise ConfigurationError(
+                        "start checkpoint lies past the run's first upset")
+                alive = advance(strike_at)
+                if not alive:
+                    break
             if traced:
                 telemetry.strike(
                     strike.target, strike.flat_bit,
                     word=model.locate(strike, injector),
                     time_s=strike.time_s, let=config.let, mbu=strike.mbu,
-                    instr=state["executed"], kind=strike.kind)
-            model.apply(strike, injector)
+                    instr=strike_at, kind=strike.kind)
+            if not static:
+                model.apply(strike, injector)
             upsets_by_target[strike.target] = \
                 upsets_by_target.get(strike.target, 0) + 1
             if strike.mbu:
                 upsets_by_target[strike.target + "+mbu"] = \
                     upsets_by_target.get(strike.target + "+mbu", 0) + 1
 
-        upsets = sum(
-            count for name, count in upsets_by_target.items()
-            if not name.endswith("+mbu")
-        )
-        def final_counts() -> Dict[str, int]:
-            # EDAC corrections on external memory are monitor-visible but
-            # sit outside the Table-2 counters.  Model campaigns fold them
-            # in (key "EDAC") so the security readout counts an
-            # EDAC-caught attack as *detected*; default-seu counts stay
-            # byte-identical to every stored row.
-            counts = dict(system.errors.as_dict())
-            if config.fault_model != "seu" and system.errors.edac_corrected:
-                counts["EDAC"] = system.errors.edac_corrected
-            return counts
-
-        def counts_and_more() -> Dict:
-            # Evaluated at return time so recoveries during the window
-            # close and tail advances are included.
-            return dict(
-                config=config,
-                upsets=upsets,
-                upsets_by_target=upsets_by_target,
-                recoveries=recovery.counts_by_level if recovery else {},
-                recovery_downtime=recovery.downtime_by_level if recovery
-                else {},
-                halts=sum(1 for e in recovery.events
-                          if e.kind in ("halt", "watchdog"))
-                if recovery else 0,
-                unrecovered=recovery.gave_up if recovery else False,
-            )
-
+        # -- classify --------------------------------------------------------
         # Early-exit grading: once every scheduled strike has been applied
         # the run is strike-free, so an architectural-digest match at any
         # golden checkpoint boundary proves the remaining execution --
@@ -649,159 +649,127 @@ class Campaign:
         # exactly the golden run's, and the run can stop there reporting
         # the golden end-of-run readouts.  Counter deltas cannot occur
         # past a match: digest equality implies the suspect sets are
-        # empty, and only suspect storage triggers corrections.  Runs
-        # that recovered are never graded early: their readouts include
-        # harvested tallies the golden run does not carry.
+        # empty, and only suspect storage triggers corrections.
         graded: Optional[GoldenCheckpoint] = None
         diverged: Optional[DivergenceFix] = None
-        if (alive and timeline is not None and timeline.checkpoints
-                and (recovery is None or not recovery.events)):
-            graded, diverged = self._grade(system, spin, state, timeline,
-                                           recovery, harvested, result_base)
-            alive = not state["failed"]
-        elif alive:
-            alive = self._advance(system, spin, state, window_close,
-                                  recovery, harvested, result_base)
-        if traced:
-            telemetry.note("span", phase="beam",
-                           wall_s=time.perf_counter() - beam_started,
-                           instr=state["executed"])
-
-        if graded is not None and timeline is not None:
-            final = timeline.final
-            result = CampaignResult(
-                counts=final_counts(),
-                sw_errors=final.sw_errors,
-                error_traps=final.error_traps,
-                halted=final.halted,
-                iterations=final.iterations,
-                instructions=final.executed,
-                wall_seconds=time.perf_counter() - started,
-                effaced=True,
-                exit_reason="reconverged",
-                graded_at_instruction=graded.instruction,
-                cycles=system.perf.cycles + timeline.tail_cycles_from(graded),
-                **counts_and_more(),
-            )
+        periods = 0
+        if not static:
+            if (alive and timeline is not None and timeline.checkpoints
+                    and not recovered()):
+                graded, diverged = self._grade(system, state, timeline,
+                                               advance, recovered)
+                alive = not state["failed"]
+            elif alive:
+                alive = advance(window_close)
             if traced:
-                telemetry.note("early-exit", reason="reconverged",
-                               at=graded.instruction,
-                               skipped=final.executed - graded.instruction)
-                self._finish_trace(injector, result, instr=final.executed)
-            return result
+                telemetry.note("span", phase="beam",
+                               wall_s=time.perf_counter() - beam_started,
+                               instr=state["executed"])
+            # Permanent-divergence exit: the faulted digest repeated across
+            # two consecutive mismatching boundaries, so the run is parked
+            # in a fixed point and will never reconverge.  Full periods are
+            # architectural no-ops; executing the sub-period remainder
+            # lands on the exact end-of-run state, and the skipped periods'
+            # cycle and counter costs are added back arithmetically -- the
+            # readouts are byte-identical to draining the tail.
+            if diverged is not None:
+                periods, remainder = divergence_exit(diverged,
+                                                     total_instructions)
+                alive = advance(diverged.boundary + remainder)
+                if not alive or recovered():
+                    diverged = None  # drain the tail instead
+            if graded is None and diverged is None:
+                drain_started = time.perf_counter()
+                if alive:
+                    advance(total_instructions)
+                if traced:
+                    telemetry.note("span", phase="drain",
+                                   wall_s=time.perf_counter() - drain_started,
+                                   instr=state["executed"])
 
-        # Permanent-divergence exit: the faulted digest repeated across
-        # two consecutive mismatching boundaries, so the run is parked in
-        # a fixed point and will never reconverge.  Full periods are
-        # architectural no-ops; executing the sub-period remainder lands
-        # on the exact end-of-run state, and the skipped periods' cycle
-        # and counter costs are added back arithmetically -- the readouts
-        # are byte-identical to draining the tail.
-        if (diverged is not None and alive
-                and (recovery is None or not recovery.events)):
-            periods, advance = divergence_exit(diverged, total_instructions)
-            alive = self._advance(system, spin, state,
-                                  diverged.boundary + advance,
-                                  recovery, harvested, result_base)
-            if alive and (recovery is None or not recovery.events):
-                read = system.read_word
-                sw_errors = harvested["sw_errors"] + \
-                    read(result_base + 0x14) - harvested["base_sw_errors"]
-                trapped = read(result_base + 0x08) == 1
-                iterations = harvested["iterations"] + \
-                    read(result_base + 0x10) - harvested["base_iterations"]
-                counts = final_counts()
+        if static or graded is not None:
+            # The effaced exits: the rest of the run is the golden run's,
+            # so its readouts are the golden final state.
+            assert timeline is not None  # both exits came from it
+            final = timeline.final
+            outcome = dict(sw_errors=final.sw_errors,
+                           error_traps=final.error_traps,
+                           halted=final.halted, iterations=final.iterations,
+                           instructions=final.executed)
+            if graded is None:
+                outcome.update(exit_reason="static_masked",
+                               graded_at_instruction=state["executed"],
+                               counts=dict(final.counts),
+                               cycles=timeline.end_cycles)
+            else:
+                outcome.update(exit_reason="reconverged",
+                               graded_at_instruction=graded.instruction,
+                               counts=self._final_counts(system),
+                               cycles=system.perf.cycles
+                               + timeline.tail_cycles_from(graded))
+        else:
+            # The live system's readouts, plus the skipped periods of a
+            # fixed point.
+            counts = self._final_counts(system)
+            outcome = dict(_read_results(system, result_base, harvested),
+                           exit_reason="full", counts=counts,
+                           instructions=state["executed"],
+                           cycles=system.perf.cycles)
+            if diverged is not None:
                 for name, delta in diverged.counts_per_period.items():
                     if delta:
                         counts[name] = counts.get(name, 0) + periods * delta
-                result = CampaignResult(
-                    counts=counts,
-                    sw_errors=sw_errors,
-                    error_traps=harvested["error_traps"] + int(trapped),
-                    halted=system.iu.halted is not HaltReason.RUNNING,
-                    iterations=iterations,
-                    instructions=total_instructions,
-                    wall_seconds=time.perf_counter() - started,
-                    exit_reason="diverged",
-                    graded_at_instruction=diverged.boundary,
-                    cycles=system.perf.cycles
-                    + periods * diverged.cycles_per_period,
-                    **counts_and_more(),
-                )
-                if traced:
-                    telemetry.note("early-exit", reason="diverged",
-                                   at=diverged.boundary,
-                                   skipped=total_instructions
-                                   - state["executed"])
-                    self._finish_trace(injector, result,
-                                       instr=total_instructions)
-                return result
+                outcome.update(exit_reason="diverged",
+                               graded_at_instruction=diverged.boundary,
+                               instructions=total_instructions,
+                               cycles=system.perf.cycles
+                               + periods * diverged.cycles_per_period)
+        return self._finish(outcome, started=started, injector=injector,
+                            recovery=recovery,
+                            upsets_by_target=upsets_by_target,
+                            executed=state["executed"])
 
-        # Legacy window-close effaced check, for warm starts prepared
-        # without a timeline (the golden run parked mid-tail) or with
-        # early exit disabled but a golden readout available.  Gated on
-        # the model like the timeline: a persistent fault re-asserts past
-        # the matching digest, so the golden tail readouts do not apply.
-        if (config.early_exit and timeline is None and model.transient
-                and golden is not None and alive and not state["failed"]
-                and (recovery is None or not recovery.events)
-                and state["executed"] == window_close
-                and system.state_digest() == golden.window_digest):
-            result = CampaignResult(
-                counts=final_counts(),
-                sw_errors=golden.sw_errors,
-                error_traps=golden.error_traps,
-                halted=golden.halted,
-                iterations=golden.iterations,
-                instructions=golden.executed,
-                wall_seconds=time.perf_counter() - started,
-                effaced=True,
-                exit_reason="reconverged",
-                graded_at_instruction=window_close,
-                cycles=system.perf.cycles + golden.tail_cycles,
-                **counts_and_more(),
-            )
-            if traced:
-                telemetry.note("early-exit", reason="reconverged",
-                               at=window_close,
-                               skipped=golden.executed - window_close)
-                self._finish_trace(injector, result, instr=golden.executed)
-            return result
+    def _statically_masked(self, warm: Optional[WarmStart], model,
+                           injector: FaultInjector, strikes) -> bool:
+        """Can the run be graded ``static_masked`` without executing it?
 
-        drain_started = time.perf_counter()
-        if alive:
-            self._advance(system, spin, state, total_instructions,
-                          recovery, harvested, result_base)
-        executed = state["executed"]
-        if traced:
-            telemetry.note("span", phase="drain",
-                           wall_s=time.perf_counter() - drain_started,
-                           instr=executed)
+        Yes when every scheduled strike lands in a register word the ACE
+        map proved dead: the faulted trajectory *is* the golden one,
+        instruction for instruction.  Never for a persistent model -- a
+        stuck-at/SEFI fault keeps re-asserting, so a word dead at strike
+        time is not dead for the rest of the run (lint rule FT701) -- nor
+        under a recovery policy.  With lifecycle tracing on, write-only
+        ("ambiguous") sites fall back to execution so the traced close
+        states stay byte-identical to the oracle's.  Called before the
+        restore: locating a strike reads only the device geometry.
+        """
+        config = self.config
+        if not (warm is not None and warm.ace is not None
+                and warm.timeline is not None
+                and model.transient and config.early_exit
+                and config.static_grading and self.recovery_policy is None):
+            return False
+        traced = self.telemetry.enabled
+        for strike in strikes:
+            claim = warm.ace.classify(strike.target,
+                                      model.locate(strike, injector))
+            if claim is None or (traced and claim != "latent"):
+                return False
+        return True
 
-        # Read out the result area the way the host computer would; the
-        # harvested tallies carry what earlier reset recoveries banked.
-        read = system.read_word
-        sw_errors = harvested["sw_errors"] + \
-            read(result_base + 0x14) - harvested["base_sw_errors"]
-        trapped = read(result_base + 0x08) == 1
-        iterations = harvested["iterations"] + \
-            read(result_base + 0x10) - harvested["base_iterations"]
+    def _final_counts(self, system: LeonSystem) -> Dict[str, int]:
+        """The error-monitor counters the host reads at the end of a run.
 
-        result = CampaignResult(
-            counts=final_counts(),
-            sw_errors=sw_errors,
-            error_traps=harvested["error_traps"] + int(trapped),
-            halted=system.iu.halted is not HaltReason.RUNNING,
-            iterations=iterations,
-            instructions=executed,
-            wall_seconds=time.perf_counter() - started,
-            exit_reason="full",
-            cycles=system.perf.cycles,
-            **counts_and_more(),
-        )
-        if traced:
-            self._finish_trace(injector, result, instr=executed)
-        return result
+        EDAC corrections on external memory are monitor-visible but sit
+        outside the Table-2 counters.  Model campaigns fold them in (key
+        "EDAC") so the security readout counts an EDAC-caught attack as
+        *detected*; default-seu counts stay byte-identical to every
+        stored row.
+        """
+        counts = dict(system.errors.as_dict())
+        if self.config.fault_model != "seu" and system.errors.edac_corrected:
+            counts["EDAC"] = system.errors.edac_corrected
+        return counts
 
     def _note_ace(self, warm: WarmStart) -> None:
         """Record the warm start's ACE-map summary in the trace.
@@ -825,110 +793,10 @@ class Campaign:
             fpregs_dead=ace.fpregs_dead,
             window_claims=ace.window_claims)
 
-    def _static_grade(self, warm: WarmStart, model,
-                      started: float) -> Optional[CampaignResult]:
-        """Grade the run statically, without executing it, if possible.
-
-        Called before the snapshot restore with a *transient* model (the
-        caller gates on ``model.transient``; persistent faults re-assert
-        and are never pre-classified).  Schedules the run's strikes on a
-        throwaway same-geometry system -- schedules are a pure function of
-        the beam parameters and the device geometry, so they are identical
-        to the ones the executed run would draw -- and consults the ACE
-        map for every strike site.  Returns None (execute normally) unless
-        *every* strike is provably dead; with lifecycle tracing enabled,
-        write-only ("ambiguous") sites also fall back to execution so the
-        traced close states stay byte-identical to the oracle's.
-
-        A successful static grade reports the golden readouts verbatim:
-        the faulted trajectory equals the golden one instruction for
-        instruction -- same instructions, cycles, counters, result-area
-        writes -- and every struck word stays resident (suspect), which is
-        exactly the ``latent`` close state the full run would log.
-        """
-        if not model.transient:
-            # Defense in depth: the caller gates on this already, but the
-            # static claims are unsound for re-asserting faults -- never
-            # pre-classify them (lint rule FT701).
-            return None
-        config = self.config
-        ace = warm.ace
-        timeline = warm.timeline
-        golden = timeline.final
-        if golden.counts is None:  # pre-static warm start
-            return None
-        traced = self.telemetry.enabled
-        probe = self.build_system()
-        injector = FaultInjector(probe)
-        strikes = model.schedule(injector)
-        located = []
-        for strike in strikes:
-            word = model.locate(strike, injector)
-            claim = ace.classify(strike.target, word)
-            if claim is None or (traced and claim != "latent"):
-                return None
-            located.append(strike)
-
-        prefix, window, _tail = config.phase_instructions()
-        upsets_by_target: Dict[str, int] = {}
-        for strike in located:
-            upsets_by_target[strike.target] = \
-                upsets_by_target.get(strike.target, 0) + 1
-            if strike.mbu:
-                upsets_by_target[strike.target + "+mbu"] = \
-                    upsets_by_target.get(strike.target + "+mbu", 0) + 1
-        result = CampaignResult(
-            config=config,
-            counts=dict(golden.counts),
-            upsets=sum(count for name, count in upsets_by_target.items()
-                       if not name.endswith("+mbu")),
-            upsets_by_target=upsets_by_target,
-            sw_errors=golden.sw_errors,
-            error_traps=golden.error_traps,
-            halted=golden.halted,
-            iterations=golden.iterations,
-            instructions=golden.executed,
-            wall_seconds=time.perf_counter() - started,
-            effaced=True,
-            cycles=timeline.end_cycles,
-            exit_reason="static_masked",
-            graded_at_instruction=warm.executed,
-        )
-        if traced:
-            telemetry = self.telemetry
-            telemetry.note("span", phase="setup",
-                           wall_s=time.perf_counter() - started,
-                           instr=warm.executed)
-            self._note_ace(warm)
-            for strike in located:
-                strike_at = prefix + min(
-                    int(strike.time_s * config.instructions_per_second),
-                    window)
-                telemetry.strike(
-                    strike.target, strike.flat_bit,
-                    word=model.locate(strike, injector),
-                    time_s=strike.time_s, let=config.let, mbu=strike.mbu,
-                    instr=strike_at, kind=strike.kind)
-            telemetry.note("early-exit", reason="static-masked",
-                           at=warm.executed,
-                           skipped=golden.executed - warm.executed)
-            telemetry.close_open(lambda target, word: "latent",
-                                 instr=golden.executed)
-            telemetry.note("run-end", counts=dict(result.counts),
-                           upsets=result.upsets, sw_errors=result.sw_errors,
-                           error_traps=result.error_traps,
-                           halted=result.halted,
-                           iterations=result.iterations,
-                           instructions=result.instructions,
-                           effaced=result.effaced,
-                           wall_s=round(result.wall_seconds, 6))
-        return result
-
-    def _grade(self, system: LeonSystem, spin: int, state: Dict,
+    def _grade(self, system: LeonSystem, state: Dict,
                timeline: GoldenTimeline,
-               recovery: Optional[RecoveryController],
-               harvested: Dict[str, int],
-               result_base: int
+               advance: Callable[[int], bool],
+               recovered: Callable[[], bool],
                ) -> "tuple[Optional[GoldenCheckpoint], " \
                     "Optional[DivergenceFix]]":
         """Walk the golden checkpoint boundaries grading the run.
@@ -949,10 +817,7 @@ class Campaign:
         for checkpoint in timeline.checkpoints:
             if checkpoint.instruction < state["executed"]:
                 continue
-            if not self._advance(system, spin, state, checkpoint.instruction,
-                                 recovery, harvested, result_base):
-                return None, None
-            if recovery is not None and recovery.events:
+            if not advance(checkpoint.instruction) or recovered():
                 return None, None
             digest = system.state_digest()
             if digest == checkpoint.digest:
@@ -979,26 +844,55 @@ class Campaign:
             previous = (digest, phase, checkpoint.instruction, cycles, counts)
         return None, None
 
-    def _finish_trace(self, injector: FaultInjector,
-                      result: CampaignResult, *, instr: int) -> None:
-        """Close every still-open upset and emit the run-end readouts.
+    def _finish(self, outcome: Dict, *, started: float,
+                injector: FaultInjector,
+                recovery: Optional[RecoveryController],
+                upsets_by_target: Dict[str, int],
+                executed: int) -> CampaignResult:
+        """Build the run's one result and close its trace.
 
-        The close events give each undetected strike its terminal state
-        (latent if the corruption is still resident, masked if it was
-        overwritten unobserved) -- together with the resolve events this
-        guarantees every strike's lifecycle terminates.
+        *outcome* carries the exit reason and the readouts classification
+        chose; *executed* is where execution actually stopped.  The close
+        events give each undetected strike its terminal state (latent if
+        the corruption is still resident, masked if it was overwritten
+        unobserved) -- together with the resolve events this guarantees
+        every strike's lifecycle terminates.  A statically-masked run
+        closes every upset as latent: a provably-dead word is never
+        rewritten either, so the struck word stays resident (suspect),
+        exactly the close state the full run would log.
         """
+        result = CampaignResult(
+            config=self.config,
+            upsets=sum(count for name, count in upsets_by_target.items()
+                       if not name.endswith("+mbu")),
+            upsets_by_target=upsets_by_target,
+            wall_seconds=time.perf_counter() - started,
+            recoveries=recovery.counts_by_level if recovery else {},
+            recovery_downtime=recovery.downtime_by_level if recovery
+            else {},
+            halts=sum(1 for e in recovery.events
+                      if e.kind in ("halt", "watchdog"))
+            if recovery else 0,
+            unrecovered=recovery.gave_up if recovery else False,
+            **outcome,
+        )
         telemetry = self.telemetry
         if not telemetry.enabled:
-            return
+            return result
+        static = result.exit_reason == "static_masked"
+        if result.exit_reason != "full":
+            telemetry.note("early-exit",
+                           reason=result.exit_reason.replace("_", "-"),
+                           at=result.graded_at_instruction,
+                           skipped=result.instructions - executed)
         telemetry.close_open(
             lambda target, word:
             # Model-specific sites outside the SEU registry (SEFI control
             # cells, attack words) stay resident until software or a reset
             # repairs them -- close as latent.
-            "latent" if (target not in injector.targets
+            "latent" if (static or target not in injector.targets
                          or injector.is_latent(target, word)) else "masked",
-            instr=instr)
+            instr=result.instructions)
         telemetry.note("run-end", counts=dict(result.counts),
                        upsets=result.upsets, sw_errors=result.sw_errors,
                        error_traps=result.error_traps,
@@ -1006,6 +900,7 @@ class Campaign:
                        instructions=result.instructions,
                        effaced=result.effaced,
                        wall_s=round(result.wall_seconds, 6))
+        return result
 
 
 def prepare_warm_start(config: CampaignConfig, *,
@@ -1036,52 +931,36 @@ def prepare_warm_start(config: CampaignConfig, *,
     executed, since_flush = state["executed"], state["since_flush"]
     failed = state["failed"]
 
-    golden: Optional[GoldenRun] = None
     timeline: Optional[GoldenTimeline] = None
     marks = []
-    window_digest: Optional[str] = None
-    window_cycles = 0
-    clean = not failed
     for boundary in checkpoint_schedule(prefix, window, tail,
                                         count=checkpoints):
         campaign._run_until(system, spin, state, boundary)
         if state["failed"] or state["executed"] != boundary:
-            # Parked mid-stretch.  Before the window close that kills the
-            # golden run (no digest to compare against); in the tail the
-            # timeline simply ends early -- a run matching any recorded
-            # boundary has the identical (parked) future.
-            clean = window_digest is not None
+            # Parked mid-stretch: the timeline ends here.  Before the
+            # window close that kills the golden run (no window-close
+            # digest to compare against); in the tail the timeline simply
+            # ends early -- a run matching any recorded boundary has the
+            # identical (parked) future.
             break
-        digest = system.state_digest()
         marks.append(GoldenCheckpoint(
             instruction=boundary,
-            digest=digest,
+            digest=system.state_digest(),
             cycles=system.perf.cycles,
             since_flush=state["since_flush"],
             snapshot=(system.snapshot().to_bytes()
                       if boundary <= window_close else None),
         ))
-        if boundary == window_close:
-            window_digest = digest
-            window_cycles = system.perf.cycles
-    if clean and window_digest is not None:
-        read = system.read_word
-        golden = GoldenRun(
-            window_digest=window_digest,
-            sw_errors=read(result_base + 0x14),
-            error_traps=int(read(result_base + 0x08) == 1),
-            iterations=read(result_base + 0x10),
-            halted=system.iu.halted is not HaltReason.RUNNING,
-            executed=state["executed"],
-            tail_cycles=system.perf.cycles - window_cycles,
-            counts=dict(system.errors.as_dict()),
-        )
+    if any(mark.instruction == window_close for mark in marks):
         timeline = GoldenTimeline(
             window_close=window_close,
             end=state["executed"],
             end_cycles=system.perf.cycles,
             checkpoints=tuple(marks),
-            final=golden,
+            final=GoldenRun(executed=state["executed"],
+                            counts=dict(system.errors.as_dict()),
+                            **_read_results(system, result_base,
+                                            _NO_HARVEST)),
         )
 
     # Static ACE map, computed once per warm start and shipped to every
@@ -1104,7 +983,6 @@ def prepare_warm_start(config: CampaignConfig, *,
         failed=failed,
         spin_pc=spin,
         result_base=result_base,
-        golden=golden,
         timeline=timeline,
         ace=ace,
     )

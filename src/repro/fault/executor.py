@@ -34,7 +34,6 @@ reported together in a :class:`CampaignExecutionError`.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 import multiprocessing
@@ -52,6 +51,10 @@ from repro.fault.campaign import (
 from repro.fault.grading import GoldenCheckpoint, first_strike_instructions
 
 _MASK64 = (1 << 64) - 1
+
+#: A per-config run function: ``runner(config, warm, start)``.
+Runner = Callable[[CampaignConfig, Optional[WarmStart],
+                   Optional[GoldenCheckpoint]], CampaignResult]
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -143,24 +146,7 @@ def _resolve_start(ref, warm: Optional[WarmStart]
     return ref
 
 
-def _call_runner(runner: Callable[..., CampaignResult],
-                 config: CampaignConfig,
-                 warm: Optional[WarmStart],
-                 start: Optional[GoldenCheckpoint] = None) -> CampaignResult:
-    """Invoke a runner, passing ``warm``/``start`` only when in play.
-
-    Keeps single-argument custom runners (tests, alternative measurement
-    loops) working unchanged for cold campaigns, and two-argument warm
-    runners working for unbatched ones.
-    """
-    if start is not None:
-        return runner(config, warm, start)
-    if warm is None:
-        return runner(config)
-    return runner(config, warm)
-
-
-def _run_chunk(runner: Callable[..., CampaignResult],
+def _run_chunk(runner: Runner,
                configs: Sequence[CampaignConfig],
                warm=None,
                start=None,
@@ -174,7 +160,7 @@ def _run_chunk(runner: Callable[..., CampaignResult],
     """
     warm = _resolve_warm(warm)
     start = _resolve_start(start, warm)
-    return [_call_runner(runner, config, warm, start) for config in configs]
+    return [runner(config, warm, start) for config in configs]
 
 
 @dataclass(frozen=True)
@@ -303,13 +289,12 @@ class CampaignExecutor:
     retries:
         Extra serial attempts per run after its first failure.
     runner:
-        The per-config run function, ``config -> CampaignResult``.  Must
-        be picklable (a module-level function) when ``jobs > 1``.
+        The per-config run function, called as ``runner(config, warm,
+        start)`` and returning a ``CampaignResult``; ``warm`` is the
+        shared warm start (None for cold campaigns) and ``start`` the
+        batch's golden checkpoint (None outside batched warm campaigns).
+        Must be picklable (a module-level function) when ``jobs > 1``.
         Injectable for tests and for alternative measurement loops.
-        Warm-start campaigns call it as ``runner(config, warm)``; batched
-        warm campaigns as ``runner(config, warm, start)`` -- runners
-        accepting fewer than three positional arguments are never
-        batched.
     mp_context:
         Multiprocessing context; default prefers ``fork`` (cheap worker
         start, no re-import) falling back to the platform default.
@@ -322,7 +307,7 @@ class CampaignExecutor:
         chunksize: Optional[int] = None,
         timeout_s: Optional[float] = None,
         retries: int = 1,
-        runner: Callable[[CampaignConfig], CampaignResult] = run_campaign,
+        runner: Runner = run_campaign,
         mp_context: Optional[multiprocessing.context.BaseContext] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
@@ -362,7 +347,7 @@ class CampaignExecutor:
         if not configs:
             return []
         batches = None
-        if batch and warm is not None and self._runner_accepts_start():
+        if batch and warm is not None:
             batches = plan_batches(configs, warm)
         if batches is None:
             batches = [StrikeBatch(None, tuple(range(len(configs))))]
@@ -370,22 +355,6 @@ class CampaignExecutor:
                                  on_results=on_results)
 
     # -- dispatch engine ----------------------------------------------------------
-
-    def _runner_accepts_start(self) -> bool:
-        """Whether the runner takes a (config, warm, start) third argument.
-
-        Custom one- and two-argument runners keep working: they simply
-        never see batched starts.
-        """
-        try:
-            parameters = inspect.signature(self.runner).parameters.values()
-        except (TypeError, ValueError):
-            return False
-        positional = [p for p in parameters
-                      if p.kind in (p.POSITIONAL_ONLY,
-                                    p.POSITIONAL_OR_KEYWORD)]
-        return len(positional) >= 3 or any(
-            p.kind == p.VAR_POSITIONAL for p in parameters)
 
     def _run_batches(
         self,
@@ -513,7 +482,7 @@ class CampaignExecutor:
         error = "no attempts made"
         for _ in range(max(1, attempts)):
             try:
-                return _call_runner(self.runner, config, warm, start)
+                return self.runner(config, warm, start)
             except Exception as exc:
                 error = _format_error(exc)
         failures.append(ExecutorFailure(config=config, error=error))

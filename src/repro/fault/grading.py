@@ -57,28 +57,20 @@ MIN_CHECKPOINT_INTERVAL = 2_000
 
 @dataclass(frozen=True)
 class GoldenRun:
-    """End-state of the strike-free run, for effaced classification.
+    """End-state of the strike-free run: what the host would log at the
+    end of the full run, reported verbatim by effaced runs."""
 
-    ``window_digest`` is the architectural digest at the beam-window close;
-    the readouts are what the host would log at the end of the full run.
-    """
-
-    window_digest: str
     sw_errors: int
     error_traps: int
     iterations: int
     halted: bool
     executed: int
-    #: Device cycles the strike-free tail costs from the window close --
-    #: a pure function of the (matching) architectural state, so effaced
-    #: runs can report exact end-of-run cycle counts without executing it.
-    tail_cycles: int = 0
     #: Golden end-of-run error-monitor counters
     #: (:meth:`~repro.core.system.LeonSystem` ``errors.as_dict()``).  A
     #: statically-masked run reports these verbatim: a provably-dead strike
     #: never reaches an operand check, so the monitor counts exactly what
-    #: the strike-free run counts.  None in pre-static warm starts.
-    counts: Optional[Dict[str, int]] = None
+    #: the strike-free run counts.
+    counts: Dict[str, int]
 
 
 @dataclass(frozen=True)

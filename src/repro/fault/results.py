@@ -112,7 +112,6 @@ def result_from_dict(payload: dict) -> CampaignResult:
         iterations=payload["iterations"],
         instructions=payload["instructions"],
         wall_seconds=payload.get("wall_seconds", 0.0),
-        effaced=payload.get("effaced", False),
         cycles=payload.get("cycles", 0),
         recoveries=dict(payload.get("recoveries", {})),
         recovery_downtime=dict(payload.get("recovery_downtime", {})),
@@ -120,8 +119,12 @@ def result_from_dict(payload: dict) -> CampaignResult:
         unrecovered=payload.get("unrecovered", False),
         # Early-exit grading fields: rows written before fast grading
         # existed lack them; they are execution annotations, so the
-        # defaults keep old and new rows byte-comparable.
-        exit_reason=payload.get("exit_reason", ""),
+        # defaults keep old and new rows byte-comparable.  ``effaced`` is
+        # derived from the exit reason; a pre-grading effaced row was a
+        # window-close digest match, i.e. a reconverged run.
+        exit_reason=payload.get(
+            "exit_reason",
+            "reconverged" if payload.get("effaced") else ""),
         graded_at_instruction=payload.get("graded_at_instruction"),
     )
 

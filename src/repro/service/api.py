@@ -70,6 +70,14 @@ from repro.store import (
 
 #: Programs a job submission may request (mirrors the CLI choices).
 PROGRAMS = ("iutest", "paranoia", "cncf")
+#: Largest request body read, bytes (a job submission is a few hundred).
+MAX_BODY_BYTES = 64 * 1024
+#: Largest job accepted: LET points times replicas per point.
+MAX_JOB_RUNS = 100_000
+
+
+class PayloadTooLarge(ValueError):
+    """A request body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
 def build_job_request(payload: Dict[str, object]
@@ -114,6 +122,9 @@ def build_job_request(payload: Dict[str, object]
         raise ValueError("lets must not be empty")
     if runs < 1 or runs > 10_000:
         raise ValueError("runs must be between 1 and 10000")
+    if len(lets) * runs > MAX_JOB_RUNS:
+        raise ValueError(f"job too large: {len(lets)} LET point(s) x "
+                         f"{runs} run(s) exceeds {MAX_JOB_RUNS} runs")
     early_exit = bool(payload.get("early_exit", True))
     configs: List[CampaignConfig] = []
     for index, let in enumerate(lets):
@@ -162,6 +173,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server: CampaignServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; without TCP_NODELAY
+    # Nagle's algorithm holds the body back for the client's delayed ACK
+    # and every keep-alive request stalls about 40 ms.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -172,6 +187,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -183,7 +200,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._json({"error": message}, code)
 
     def _read_body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request's JSON object body, bounded before anything is read.
+
+        A rejected body stays unread, so the connection closes after the
+        error response instead of parsing it as the next request.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            self.close_connection = True
+            if length < 0:
+                raise ValueError(f"bad Content-Length: {header!r}")
+            raise PayloadTooLarge(f"request body of {length} bytes exceeds "
+                                  f"{MAX_BODY_BYTES}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -240,6 +269,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._json({"job": int(parts[2]), "cancelled": cancelled})
             else:
                 self._error(404, f"no such endpoint: {self.path}")
+        except PayloadTooLarge as exc:
+            self._error(413, str(exc))
         except (ConfigurationError, ValueError) as exc:
             self._error(404 if isinstance(exc, ConfigurationError) else 400,
                         str(exc))

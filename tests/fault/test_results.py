@@ -166,10 +166,22 @@ def test_pre_grading_rows_load_with_defaults(tmp_path):
     result = loaded[config_key(_config(seed=1))]
     assert result.exit_reason == ""
     assert result.graded_at_instruction is None
+    assert not result.effaced
     # A resumed campaign appends new-format rows to the same store.
     with ResultStore(path) as store:
         store.append([_result(seed=2)])
     assert len(ResultStore(path).load()) == 2
+    # Before the grading ladder, "effaced" meant a window-close digest
+    # match: such a row reads back as a reconverged run.
+    row = result_to_dict(_result(seed=3))
+    row.pop("exit_reason")
+    row["effaced"] = True
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(row) + "\n")
+    legacy = ResultStore(path).load()[config_key(_config(seed=3))]
+    assert legacy.exit_reason == "reconverged"
+    assert legacy.effaced
+    assert result_to_dict(legacy)["effaced"] is True
 
 
 # -- resume through the executor -----------------------------------------------

@@ -78,7 +78,7 @@ def test_static_masked_matches_full_oracle_200_runs(warm):
     assert all(r.exit_reason == "full" for r in oracle)
     # A statically-masked run reports the golden readouts.
     for result in statics:
-        assert result.counts == warm.golden.counts
+        assert result.counts == warm.timeline.final.counts
         assert result.effaced
 
 

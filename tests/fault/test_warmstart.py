@@ -75,7 +75,7 @@ def test_strike_free_warm_run_is_effaced():
     equal golden's and the run reports the golden readouts early."""
     config = _config(let=3.0)
     warm = prepare_warm_start(config)
-    assert warm.golden is not None
+    assert warm.timeline.final is not None
     result = Campaign(config).run(warm=warm)
     assert result.upsets == 0
     assert result.effaced

@@ -1,7 +1,9 @@
 """The HTTP API: submission payloads, endpoints, error mapping."""
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -186,3 +188,62 @@ def test_error_mapping(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _call(server, "/api/diff?a=missing")
     assert err.value.code == 400
+
+
+# -- input bounds and connection handling --------------------------------------
+
+
+def _post_with_length(server, length: str):
+    """POST /api/jobs declaring *length* but sending no body: the server
+    must answer from the header alone, without waiting for bytes."""
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.putrequest("POST", "/api/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def test_negative_content_length_rejected(server):
+    status, body = _post_with_length(server, "-1")
+    assert status == 400
+    assert "Content-Length" in body["error"]
+    assert _post_with_length(server, "twelve")[0] == 400
+
+
+def test_oversized_body_rejected_before_reading(server):
+    status, body = _post_with_length(server, str(64 * 1024 + 1))
+    assert status == 413
+    assert "exceeds" in body["error"]
+
+
+def test_oversized_job_rejected(server):
+    with pytest.raises(ValueError, match="too large"):
+        build_job_request(dict(TINY_PAYLOAD, lets=[1.0] * 11, runs=10_000))
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _call(server, "/api/jobs",
+              dict(TINY_PAYLOAD, lets=[1.0] * 101, runs=1_000))
+    assert err.value.code == 400
+
+
+def test_keep_alive_requests_do_not_stall(server):
+    """Twenty GETs on one keep-alive connection: with Nagle's algorithm
+    on, each response waits out the client's delayed ACK (~40 ms)."""
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        started = time.perf_counter()
+        for _ in range(20):
+            conn.request("GET", "/api/status")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+        elapsed = time.perf_counter() - started
+    finally:
+        conn.close()
+    assert elapsed < 0.4
