@@ -154,7 +154,7 @@ class AceMap:
     window_claims: bool
     #: Why window claims were abandoned ("" when they were not).
     degraded_reason: str
-    #: Natural-loop header pcs (back-edge targets), for JIT priming.
+    #: Natural-loop header pcs (back-edge targets).
     loop_heads: Tuple[int, ...]
     #: Summary statistics for reports (JSON-safe).
     stats: Dict[str, int] = field(default_factory=dict, compare=False)

@@ -572,12 +572,6 @@ class Campaign:
                 state.update(executed=start.instruction,
                              since_flush=start.since_flush)
             system.restore(Snapshot.from_bytes(snapshot))
-            if (warm.ace is not None and warm.ace.loop_heads
-                    and system.jit is not None):
-                # Statically-recovered loop headers are the JIT's candidate
-                # superblock entries: prime them so the first visit
-                # compiles (restore() just invalidated the block cache).
-                system.jit.prime(warm.ace.loop_heads)
         if traced:
             telemetry.note("span", phase="setup",
                            wall_s=time.perf_counter() - started,

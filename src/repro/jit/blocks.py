@@ -24,10 +24,13 @@ applied, so the interpreter re-executes it from fetch.  Deopt sites are
 load/store address misalignment (trap path), d-cache probe misses
 (refill, parity, uncached timing), stores outside SRAM (protector,
 read-only PROM, APB side effects) and misaligned JMPL targets.
-Everything else -- interrupts, traps, parity/EDAC suspects, TMR
-upsets, peripheral activity -- is excluded by the burst entry guards in
-:mod:`repro.jit.engine` and cannot arise mid-burst (memory-mapped
-peripherals are only reachable through stores, which deopt first).
+Everything else -- interrupts, traps, suspect register-file words the
+block touches, TMR upsets, peripheral activity -- is excluded by the
+burst entry guards in :mod:`repro.jit.engine` and cannot arise
+mid-burst (memory-mapped peripherals are only reachable through
+stores, which deopt first).  Suspect cache words need no guard: the
+i-cache words are re-verified at entry and d-cache loads probe with
+the same clean-hit predicate, so both fall back to the interpreter.
 
 ``BLOCK_OBSERVABLES`` names the per-step FT observables every exit
 must fold back into ``PerfCounters``; the FT601 lint rule checks the
@@ -36,7 +39,7 @@ epilogue covers each one.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.amba.ahb import TransferSize
 from repro.iu import timing
@@ -97,12 +100,12 @@ _ALIGN_MASK = {Op3Mem.LD: 3, Op3Mem.LDUB: 0, Op3Mem.LDUH: 1,
 class CompiledBlock:
     """One compiled trace block and the facts the engine needs to run it."""
 
-    __slots__ = ("pc", "end_pc", "verify", "addresses", "fn",
-                 "max_path_instructions", "source")
+    __slots__ = ("pc", "end_pc", "verify", "addresses", "regs",
+                 "footprints", "fn", "max_path_instructions", "source")
 
     def __init__(self, pc: int, end_pc: int,
                  verify: Tuple[Tuple[int, int], ...],
-                 addresses: Set[int], fn,
+                 addresses: Set[int], regs: Tuple[int, ...], fn,
                  max_path_instructions: int, source: str) -> None:
         self.pc = pc
         self.end_pc = end_pc
@@ -113,6 +116,12 @@ class CompiledBlock:
         #: Every pc the interpreter would visit inside a burst iteration;
         #: a stop_pc in this set forbids compiled execution.
         self.addresses = addresses
+        #: Architectural registers (never %g0) the block reads or writes:
+        #: the ``r<n>`` locals of its source, in ascending order.
+        self.regs = regs
+        #: entry CWP -> physical register-file words of ``regs``; filled
+        #: lazily by the engine's suspect guard.
+        self.footprints: Dict[int, FrozenSet[int]] = {}
         self.fn = fn
         #: Most instructions one loop iteration can retire; the budget
         #: guard exits while at least this many remain.
@@ -204,6 +213,11 @@ class _Codegen:
             1 if system.dcache.double_store_delay else 0)
 
     # ------------------------------------------------------------- helpers
+
+    @property
+    def regs(self) -> Tuple[int, ...]:
+        """Every register the block reads or writes, ascending."""
+        return tuple(sorted(self.reads | self.written))
 
     def emit(self, line: str, ind: int) -> None:
         self.lines.append("    " * ind + line)
@@ -594,7 +608,7 @@ class _Codegen:
         if self.copies == 2:
             p("d1 = RF._data[1]")
             p("c1 = RF._check[1]")
-        regs = sorted(self.reads | self.written)
+        regs = self.regs
         if any(reg >= 8 for reg in regs):
             p("_cw = (PSR_R._lanes[0] & 31) << 4")
         for reg in regs:
@@ -742,6 +756,6 @@ def build_block(system, pc: int) -> Optional[CompiledBlock]:
         verify += ((ender[0], ender[1]), (delay[0], delay[1]))
         addresses.add(ender[0])
         addresses.add(delay[0])
-    return CompiledBlock(pc, end_pc, verify, addresses, fn,
+    return CompiledBlock(pc, end_pc, verify, addresses, gen.regs, fn,
                          max_path, source)
 

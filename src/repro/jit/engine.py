@@ -7,28 +7,52 @@ returns ``None``, in which case the driver interprets exactly one step
 as before.
 
 The entry guard set proves, before any compiled code runs, that the
-interpreter would take its fault-free fast path for the whole burst:
+interpreter would take its fault-free fast path for the whole burst.
+Each group has a ``refused_*`` counter in :attr:`JitEngine.stats`:
 
-* pipeline state -- running, not powered down, ``npc == pc + 4``, no
-  pending annul, no scrub due in the flip-flop bank;
-* no interrupt deliverable right now (ET, PIL and the pending/mask
+* ``refused_budget`` -- enough instruction budget for one worst-case
+  iteration and no stop_pc inside the block;
+* ``refused_pipeline`` -- running, not powered down (nor requested to),
+  ``npc == pc + 4``, no pending annul;
+* ``refused_tmr`` -- no flip-flop upset waiting for its scrub and every
+  guard-listed TMR register clean (ET, PIL and the pending/mask
   registers are read lane-0 only after their dirty flags are checked,
   so TMR voting stays with the interpreter);
-* quiescent peripherals -- watchdog never started, timers disabled,
-  UART shifters empty, DMA idle -- which makes the per-step APB tick a
-  proven no-op for any number of burst cycles, so it is skipped;
-* no fault in flight: every TMR register guard-listed clean, every
-  parity/EDAC suspect set empty, the write protector disabled;
-* caches enabled and every block word still verifying against the
-  i-cache (a mismatch -- eviction, injected suspect, reloaded program
-  -- drops the block for recompilation);
-* a stop_pc never inside the block and enough instruction budget for
-  one worst-case iteration.
+* ``refused_peripherals`` -- no interrupt deliverable right now;
+  watchdog never started, timers disabled, UART shifters empty, DMA
+  idle, which makes the per-step APB tick a proven no-op for any number
+  of burst cycles, so it is skipped; caches enabled and the write
+  protector disabled;
+* ``refused_suspect`` -- no register-file suspect word in the block's
+  footprint.
+
+Upsets in storage are handled where they act, not globally:
+
+* register file -- the footprint is the set of physical words of every
+  register the block reads or writes, mapped through the entry CWP (a
+  block never changes CWP).  Compiled code touches no other word, and
+  the interpreter checks exactly the words an instruction reads, so a
+  suspect word outside the footprint is invisible to the burst; one
+  inside it refuses the burst (reading it must correct or trap, and
+  writing it clears the suspect mark, which compiled write-back does
+  not);
+* i-cache -- every block word is re-verified at entry with the
+  side-effect-free ``peek_word``, whose clean-hit predicate fails on a
+  suspect tag or data word, so a struck (or evicted, or reloaded) word
+  drops the block for recompilation and the interpreter's fetch detects
+  the upset;
+* d-cache loads -- the compiled load probe is ``peek_word`` too; a
+  suspect tag or data word deopts the load before any of its effects,
+  and the interpreter re-executes it through the parity-checking path;
+* d-cache stores -- compiled stores call the real ``DataCache.write``,
+  which parity-checks the tag, counts and traces a detected error and
+  invalidates the line exactly as interpreted execution does (the
+  instruction count is committed first so telemetry stamps match).
 
 Anything that changes these facts mid-campaign (fault injection,
-snapshot restore, a trap) makes the next guard pass fail, so execution
-falls back to the interpreter at a step boundary with bit-identical
-state.
+snapshot restore, a trap) makes the next guard pass, entry verification
+or load probe fail, so execution falls back to the interpreter at a
+step boundary with bit-identical state.
 """
 
 from __future__ import annotations
@@ -99,10 +123,14 @@ class JitEngine:
         self._dcache = system.dcache
         self._protector = system.memctrl.write_protector
         self._sysregs = system.sysregs
+        #: Flat integer counters (callers diff them); ``refused_*`` count
+        #: compiled blocks turned away by each entry-guard group.
         self.stats = {
             "bursts": 0, "burst_instructions": 0, "burst_steps": 0,
             "deopts": 0, "compiles": 0, "compile_failures": 0,
-            "verify_drops": 0,
+            "verify_drops": 0, "refused_budget": 0, "refused_pipeline": 0,
+            "refused_tmr": 0, "refused_peripherals": 0,
+            "refused_suspect": 0,
         }
 
     def invalidate(self) -> None:
@@ -111,22 +139,6 @@ class JitEngine:
         bind component internals that those events may rebind."""
         self.blocks.clear()
         self.counts.clear()
-
-    def prime(self, pcs) -> None:
-        """Pre-seed hot counters for statically-discovered loop heads.
-
-        The static analyzer (:mod:`repro.analysis.program`) recovers the
-        program's natural loops; their headers are exactly the PCs the
-        hot-counting would eventually discover.  Priming them to the
-        threshold makes the first visit compile immediately instead of
-        waiting out ``HOT_THRESHOLD`` interpreted iterations.  Purely a
-        warm-up hint: compiled bursts are byte-identical to
-        interpretation, so priming never changes results.
-        """
-        counts = self.counts
-        for pc in pcs:
-            if pc not in self.blocks:
-                counts[pc] = HOT_THRESHOLD
 
     def try_burst(self, budget: int,
                   stop_pc: Optional[int]) -> Optional[Tuple[int, int]]:
@@ -160,55 +172,11 @@ class JitEngine:
         elif block is False:
             return None
 
-        if budget < block.max_path_instructions:
+        refused = self._refusal(block, pc, budget, stop_pc)
+        if refused is not None:
+            self.stats[refused] += 1
             return None
-        if stop_pc is not None and stop_pc in block.addresses:
-            return None
-        iu = self.iu
-        if iu.halted is not HaltReason.RUNNING or iu.power_down:
-            return None
-        system = self.system
-        if system._ffbank_dirty or self._sysregs.power_down_requested:
-            return None
-        for reg in self._guard_regs:
-            if reg._dirty:
-                return None
-        if self._npc_reg._lanes[0] != (pc + 4) & 0xFFFFFFFF:
-            return None
-        if self._annul_reg._lanes[0]:
-            return None
-        psr_raw = self._psr_reg._lanes[0]
-        if psr_raw & 0x20:  # ET set: a deliverable interrupt must trap
-            active = (self._irq_pending._lanes[0]
-                      & self._irq_mask._lanes[0] & _LEVEL_MASK)
-            if active and active.bit_length() - 1 > (psr_raw >> 8) & 0xF:
-                return None
-        timers = self._timers
-        if timers.watchdog_expired or self._watchdog._lanes[0]:
-            return None
-        if (self._t1_control._lanes[0]
-                | self._t2_control._lanes[0]) & _CTRL_ENABLE:
-            return None
-        if not self._uart1_status._lanes[0] & _STATUS_TX_SHIFT_EMPTY:
-            return None
-        if not self._uart2_status._lanes[0] & _STATUS_TX_SHIFT_EMPTY:
-            return None
-        if self._dma_status._lanes[0] & _STATUS_BUSY:
-            return None
-        # Suspect sets are re-resolved through their owners: restore()
-        # rebinds them.
-        icache = self._icache
-        dcache = self._dcache
-        if (self._regfile._suspect or icache.tag_ram._suspect
-                or icache.data_ram._suspect or dcache.tag_ram._suspect
-                or dcache.data_ram._suspect):
-            return None
-        if not (icache.enabled and dcache.enabled):
-            return None
-        for unit in self._protector.units:
-            if unit.mode is not WpMode.DISABLED:
-                return None
-        ipeek = icache.peek_word
+        ipeek = self._icache.peek_word
         for addr, word in block.verify:
             if ipeek(addr) != word:
                 self.stats["verify_drops"] += 1
@@ -227,3 +195,60 @@ class JitEngine:
         self.stats["burst_instructions"] += n_i
         self.stats["burst_steps"] += n_s
         return n_i, n_s
+
+    def _refusal(self, block: CompiledBlock, pc: int, budget: int,
+                 stop_pc: Optional[int]) -> Optional[str]:
+        """The ``stats`` key of the first entry-guard group that refuses
+        ``block`` at ``pc``, or None when every guard passes."""
+        if budget < block.max_path_instructions:
+            return "refused_budget"
+        if stop_pc is not None and stop_pc in block.addresses:
+            return "refused_budget"
+        iu = self.iu
+        if (iu.halted is not HaltReason.RUNNING or iu.power_down
+                or self._sysregs.power_down_requested):
+            return "refused_pipeline"
+        if self.system._ffbank_dirty:
+            return "refused_tmr"
+        for reg in self._guard_regs:
+            if reg._dirty:
+                return "refused_tmr"
+        if self._npc_reg._lanes[0] != (pc + 4) & 0xFFFFFFFF:
+            return "refused_pipeline"
+        if self._annul_reg._lanes[0]:
+            return "refused_pipeline"
+        psr_raw = self._psr_reg._lanes[0]
+        if psr_raw & 0x20:  # ET set: a deliverable interrupt must trap
+            active = (self._irq_pending._lanes[0]
+                      & self._irq_mask._lanes[0] & _LEVEL_MASK)
+            if active and active.bit_length() - 1 > (psr_raw >> 8) & 0xF:
+                return "refused_peripherals"
+        timers = self._timers
+        if timers.watchdog_expired or self._watchdog._lanes[0]:
+            return "refused_peripherals"
+        if (self._t1_control._lanes[0]
+                | self._t2_control._lanes[0]) & _CTRL_ENABLE:
+            return "refused_peripherals"
+        if not self._uart1_status._lanes[0] & _STATUS_TX_SHIFT_EMPTY:
+            return "refused_peripherals"
+        if not self._uart2_status._lanes[0] & _STATUS_TX_SHIFT_EMPTY:
+            return "refused_peripherals"
+        if self._dma_status._lanes[0] & _STATUS_BUSY:
+            return "refused_peripherals"
+        if not (self._icache.enabled and self._dcache.enabled):
+            return "refused_peripherals"
+        for unit in self._protector.units:
+            if unit.mode is not WpMode.DISABLED:
+                return "refused_peripherals"
+        # Re-resolved through the owner: restore() rebinds the set.
+        suspect = self._regfile._suspect
+        if suspect:
+            cwp = psr_raw & 31
+            footprint = block.footprints.get(cwp)
+            if footprint is None:
+                physical = self._regfile.physical_index
+                footprint = block.footprints[cwp] = frozenset(
+                    physical(cwp, reg) for reg in block.regs)
+            if not suspect.isdisjoint(footprint):
+                return "refused_suspect"
+        return None
