@@ -71,12 +71,11 @@ def measurements():
     prepare_wall = time.perf_counter() - started
 
     # The warm-start baseline: full execution of every run from the same
-    # shared snapshot, no grading, no batching.  Also the identity oracle.
+    # shared snapshot, no grading.  Also the identity oracle.
     oracle_configs = [replace(config, early_exit=False)
                       for config in configs]
     started = time.perf_counter()
-    oracle = CampaignExecutor(1).run_many(oracle_configs, warm=warm,
-                                          batch=False)
+    oracle = CampaignExecutor(1).run_many(oracle_configs, warm=warm)
     oracle_wall = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -114,7 +113,6 @@ def test_grading_speedup(benchmark, measurements):
         "window_instructions": window,
         "tail_instructions": tail,
         "timeline_checkpoints": len(warm.timeline.checkpoints),
-        "timeline_anchors": len(warm.timeline.anchors()),
         "prepare_wall_s": round(prepare_wall, 3),
         "full_wall_s": round(oracle_wall, 3),
         "fast_jobs1_wall_s": round(fast1_wall, 3),
@@ -130,8 +128,7 @@ def test_grading_speedup(benchmark, measurements):
         "Fast fault grading throughput\n\n"
         f"shape:            {prefix:,}-instr prefix, {window:,}-instr "
         f"window, {tail:,}-instr tail, {len(fast1)} runs\n"
-        f"timeline:         {record['timeline_checkpoints']} checkpoints "
-        f"({record['timeline_anchors']} anchors), "
+        f"timeline:         {record['timeline_checkpoints']} checkpoints, "
         f"prepared in {prepare_wall:.2f} s\n"
         f"full execution:   {oracle_wall:.2f} s\n"
         f"early-exit:       {fast1_wall:.2f} s (jobs=1), "

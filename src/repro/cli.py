@@ -173,9 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="periodic cache flush, in instructions "
                                "(section 4.8; 0 = never)")
     campaign.add_argument("--no-early-exit", action="store_true",
-                          help="disable golden-timeline early-exit grading "
-                               "and checkpoint-shared strike batches: run "
-                               "every campaign to program end (the slow "
+                          help="disable golden-timeline early-exit grading: "
+                               "run every campaign to program end (the slow "
                                "oracle path; results are identical)")
     campaign.add_argument("--no-static", action="store_true",
                           help="disable static pre-classification of "
@@ -470,8 +469,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         warm = prepare_warm_start(config)
     try:
         fresh = (CampaignExecutor(args.jobs, runner=runner).run_many(
-            pending, warm=warm, batch=not args.no_early_exit,
-            on_results=on_results) if pending else [])
+            pending, warm=warm, on_results=on_results) if pending else [])
     finally:
         if store is not None:
             store.close()

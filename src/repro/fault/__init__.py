@@ -23,7 +23,6 @@ from repro.fault.grading import (
     GoldenRun,
     GoldenTimeline,
     checkpoint_schedule,
-    first_strike_instructions,
 )
 from repro.fault.crosssection import (
     CrossSectionCurve,
@@ -36,10 +35,8 @@ from repro.fault.crosssection import (
 from repro.fault.executor import (
     CampaignExecutionError,
     CampaignExecutor,
-    StrikeBatch,
     derive_seed,
     expand_runs,
-    plan_batches,
     run_campaign,
 )
 from repro.fault.injector import FaultInjector, SeuTarget
@@ -60,7 +57,6 @@ __all__ = [
     "HeavyIonBeam",
     "ResultStore",
     "SeuTarget",
-    "StrikeBatch",
     "WarmStart",
     "WeibullCrossSection",
     "WeibullFit",
@@ -68,10 +64,8 @@ __all__ = [
     "config_key",
     "derive_seed",
     "expand_runs",
-    "first_strike_instructions",
     "fit_weibull",
     "measure_curve",
-    "plan_batches",
     "prepare_warm_start",
     "render_curve",
     "run_campaign",

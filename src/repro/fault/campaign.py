@@ -338,9 +338,9 @@ class WarmStart:
     failed: bool
     spin_pc: int
     result_base: int
-    #: Golden digest timeline for early-exit grading and strike batching,
-    #: ending in the golden readouts (None when the golden run failed
-    #: before the window closed).
+    #: Golden digest timeline for early-exit grading, ending in the golden
+    #: readouts (None when the golden run failed before the window
+    #: closed).
     timeline: Optional[GoldenTimeline] = None
     #: Static ACE map of the program from the snapshot state
     #: (:mod:`repro.analysis.program`), for strike pre-classification.
@@ -506,8 +506,7 @@ class Campaign:
                 harvested["base_iterations"] = read(result_base + 0x10)
                 state["since_flush"] = 0
 
-    def run(self, warm: Optional[WarmStart] = None, *,
-            start: Optional[GoldenCheckpoint] = None) -> CampaignResult:
+    def run(self, warm: Optional[WarmStart] = None) -> CampaignResult:
         """Execute one run in four steps: plan, advance, classify, finish.
 
         *Plan* builds the run's one system and schedules its strikes on
@@ -537,10 +536,6 @@ class Campaign:
                            warm=warm is not None)
 
         # -- plan ------------------------------------------------------------
-        if start is not None and (warm is None or start.snapshot is None):
-            raise ConfigurationError(
-                "a start checkpoint requires a warm start and a golden "
-                "snapshot at the checkpoint")
         model = build_model(config.fault_model, config)
         state = {"executed": 0, "since_flush": 0, "failed": False}
         if warm is not None:
@@ -561,17 +556,7 @@ class Campaign:
         strikes = model.schedule(injector)
         static = self._statically_masked(warm, model, injector, strikes)
         if warm is not None and not static:
-            snapshot = warm.snapshot
-            if start is not None:
-                # Batched strike scheduling: resume from the golden state
-                # at the checkpoint instead of replaying the strike-free
-                # stretch from the warm snapshot.  Legal only while no
-                # strike has landed yet -- the executor's batch planner
-                # guarantees start.instruction <= the first upset.
-                snapshot = start.snapshot
-                state.update(executed=start.instruction,
-                             since_flush=start.since_flush)
-            system.restore(Snapshot.from_bytes(snapshot))
+            system.restore(Snapshot.from_bytes(warm.snapshot))
         if traced:
             telemetry.note("span", phase="setup",
                            wall_s=time.perf_counter() - started,
@@ -615,9 +600,6 @@ class Campaign:
             strike_at = prefix + min(
                 int(strike.time_s * config.instructions_per_second), window)
             if not static:
-                if strike_at < state["executed"]:
-                    raise ConfigurationError(
-                        "start checkpoint lies past the run's first upset")
                 alive = advance(strike_at)
                 if not alive:
                     break
@@ -904,11 +886,10 @@ def prepare_warm_start(config: CampaignConfig, *,
     Runs the fault-free prefix (``beam_delay_s``), snapshots the device,
     then continues the *golden* (strike-free) run through the beam window
     and tail, recording an architectural digest at every
-    :func:`~repro.fault.grading.checkpoint_schedule` boundary -- plus a
-    restore snapshot at the in-window boundaries, the anchors of batched
-    strike scheduling -- and the final host readouts.  The result is
-    picklable and serves every run whose config shares
-    :func:`warm_start_key` -- a whole LET sweep, every seed.
+    :func:`~repro.fault.grading.checkpoint_schedule` boundary and the
+    final host readouts.  The result is picklable and serves every run
+    whose config shares :func:`warm_start_key` -- a whole LET sweep,
+    every seed.
     """
     campaign = Campaign(config)
     prefix, window, tail = config.phase_instructions()
@@ -937,14 +918,9 @@ def prepare_warm_start(config: CampaignConfig, *,
             # ends early -- a run matching any recorded boundary has the
             # identical (parked) future.
             break
-        marks.append(GoldenCheckpoint(
-            instruction=boundary,
-            digest=system.state_digest(),
-            cycles=system.perf.cycles,
-            since_flush=state["since_flush"],
-            snapshot=(system.snapshot().to_bytes()
-                      if boundary <= window_close else None),
-        ))
+        marks.append(GoldenCheckpoint(instruction=boundary,
+                                      digest=system.state_digest(),
+                                      cycles=system.perf.cycles))
     if any(mark.instruction == window_close for mark in marks):
         timeline = GoldenTimeline(
             window_close=window_close,

@@ -121,8 +121,8 @@ def measure_curve(
     (``beam_delay_s``) is executed once and every LET point restores from
     the shared snapshot -- the curve is unchanged (the warm-start key does
     not involve LET or seed).  ``early_exit=False`` disables golden-timeline
-    grading and strike batching (the slow full-execution oracle; the curve
-    is identical either way).
+    grading (the slow full-execution oracle; the curve is identical either
+    way).
 
     ``importance=True`` runs the sweep under the ``seu-live`` model
     (:mod:`repro.fault.sampling`): strikes land only on statically-live
@@ -162,8 +162,7 @@ def measure_curve(
         from repro.fault.sampling import live_fraction
         rhos = [live_fraction(config) for config in configs]
     for index, (let, result) in enumerate(
-            zip(lets, executor.run_many(configs, warm=warm,
-                                        batch=early_exit))):
+            zip(lets, executor.run_many(configs, warm=warm))):
         rho = rhos[index] if rhos is not None else 1.0
         for kind in COUNTER_TARGETS:
             count = result.counts[kind]

@@ -1,4 +1,4 @@
-"""Fast fault grading: golden digest timelines and strike batching.
+"""Fast fault grading: golden digest timelines and early exits.
 
 Lopez-Ongil et al. ("Techniques for Fast Transient Fault Grading Based on
 Autonomous Emulation", PAPERS.md) observe that almost every injected fault
@@ -18,11 +18,6 @@ This module holds the data model of the grading layer:
   freeze, and result-area write -- is the golden run's, so it terminates
   there and reports the golden end-of-run readouts, byte-identical to
   full execution.
-* golden *snapshots* at in-window boundaries, the restore targets of
-  batched strike scheduling
-  (:func:`repro.fault.executor.plan_batches`): runs whose first upset
-  lands after boundary B restore the golden state at B instead of
-  re-executing the strike-free stretch from the warm-start snapshot.
 * :class:`DivergenceFix` / :func:`divergence_exit` -- the permanent-
   divergence early exit.  A faulted run whose architectural digest (and
   cache-flush phase) is *identical at two consecutive boundaries* is in
@@ -43,7 +38,7 @@ and grading must classify exactly those runs early.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 #: Checkpoints per golden timeline (the schedule may emit fewer when the
 #: window is too short for the spacing floor).
@@ -84,12 +79,6 @@ class GoldenCheckpoint:
     digest: str
     #: Golden device cycles consumed up to the boundary.
     cycles: int
-    #: Periodic-flush phase at the boundary (``state["since_flush"]``).
-    since_flush: int
-    #: Golden state bytes, kept only for in-window boundaries -- the
-    #: restore targets of batched strike scheduling.  Tail boundaries are
-    #: compare-only (no run ever starts there) and carry None.
-    snapshot: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
@@ -107,10 +96,6 @@ class GoldenTimeline:
     checkpoints: Tuple[GoldenCheckpoint, ...]
     #: Golden end-of-run readouts, reported verbatim by reconverged runs.
     final: GoldenRun
-
-    def anchors(self) -> Tuple[GoldenCheckpoint, ...]:
-        """The checkpoints carrying restore snapshots (batch anchors)."""
-        return tuple(cp for cp in self.checkpoints if cp.snapshot is not None)
 
     def tail_cycles_from(self, checkpoint: GoldenCheckpoint) -> int:
         """Device cycles the golden run spends from *checkpoint* to end."""
@@ -180,34 +165,3 @@ def checkpoint_schedule(prefix: int, window: int, tail: int, *,
     bounds.add(end)
     ordered = sorted(bounds)
     return tuple(b for b in ordered if prefix < b <= end)
-
-
-def first_strike_instructions(configs: Sequence) -> List[Optional[int]]:
-    """First-upset instruction per config (None when the run is strike-free).
-
-    Uses the campaign's exact arrival arithmetic, so the returned value is
-    the target of the run's first advance.  Strike schedules are a pure
-    function of the beam parameters; one throwaway system supplies the
-    target geometry (the configs of a batch share a warm start, hence a
-    device configuration).
-    """
-    from repro.core.config import LeonConfig
-    from repro.core.system import LeonSystem
-    from repro.fault.beam import HeavyIonBeam
-    from repro.fault.injector import FaultInjector
-
-    if not configs:
-        return []
-    leon = configs[0].leon or LeonConfig.leon_express()
-    beam = HeavyIonBeam(FaultInjector(LeonSystem(leon)))
-    firsts: List[Optional[int]] = []
-    for config in configs:
-        prefix, window, _tail = config.phase_instructions()
-        beam.begin(config.beam_parameters())
-        strike = beam.next_strike()
-        if strike is None:
-            firsts.append(None)
-        else:
-            firsts.append(prefix + min(
-                int(strike.time_s * config.instructions_per_second), window))
-    return firsts

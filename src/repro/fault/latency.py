@@ -20,15 +20,9 @@ from typing import Dict, List, Optional
 
 from repro.core.config import LeonConfig
 from repro.core.system import LeonSystem
-from repro.errors import ConfigurationError
+from repro.fault.campaign import resolve_builder
 from repro.fault.injector import FaultInjector
-from repro.programs import ProgramHarness, build_cncf, build_iutest, build_paranoia
-
-_BUILDERS = {
-    "iutest": build_iutest,
-    "paranoia": build_paranoia,
-    "cncf": build_cncf,
-}
+from repro.programs import ProgramHarness
 
 
 @dataclass
@@ -102,12 +96,10 @@ def measure_detection_latency(
     *still writing* is silently erased -- real, but not the latency being
     measured).
     """
-    if program not in _BUILDERS:
-        raise ConfigurationError(f"unknown program {program!r}")
+    builder = resolve_builder(program)
     leon = leon or LeonConfig.leon_express()
     rng = random.Random(seed)
     report = LatencyReport(program, window_instructions)
-    builder = _BUILDERS[program]
 
     for _trial in range(strikes):
         system = LeonSystem(leon)

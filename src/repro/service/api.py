@@ -45,6 +45,7 @@ each point with derived seeds exactly like ``repro campaign --runs``.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
@@ -68,8 +69,6 @@ from repro.store import (
     trace_stats,
 )
 
-#: Programs a job submission may request (mirrors the CLI choices).
-PROGRAMS = ("iutest", "paranoia", "cncf")
 #: Largest request body read, bytes (a job submission is a few hundred).
 MAX_BODY_BYTES = 64 * 1024
 #: Largest job accepted: LET points times replicas per point.
@@ -116,10 +115,27 @@ def build_job_request(payload: Dict[str, object]
         flush_period = int(payload.get("flush_period", 0))
         beam_delay = float(payload.get("beam_delay", 0.0))
         beam_tail = float(payload.get("beam_tail", 0.0))
-    except (TypeError, ValueError) as exc:
+        jobs = max(1, int(payload.get("jobs", 1)))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad numeric field: {exc}") from None
     if not lets:
         raise ValueError("lets must not be empty")
+    # json.loads accepts NaN and Infinity; a NaN compares false against
+    # every bound below, so finiteness is checked first.
+    if not all(math.isfinite(value) for value in
+               (*lets, flux, fluence, ips, beam_delay, beam_tail)):
+        raise ValueError("numeric fields must be finite")
+    if flux <= 0 or ips <= 0:
+        raise ValueError("flux and ips must be positive")
+    if min(fluence, beam_delay, beam_tail, flush_period) < 0:
+        raise ValueError("fluence, beam_delay, beam_tail and flush_period "
+                         "must not be negative")
+    # The window is capped at max_instructions; the prefix and the tail
+    # are not, and one scheduler thread runs every job.
+    limit = CampaignConfig.max_instructions
+    if beam_delay * ips > limit or beam_tail * ips > limit:
+        raise ValueError(f"beam_delay and beam_tail must each span at most "
+                         f"{limit} instructions at {ips:g} ips")
     if runs < 1 or runs > 10_000:
         raise ValueError("runs must be between 1 and 10000")
     if len(lets) * runs > MAX_JOB_RUNS:
@@ -143,7 +159,7 @@ def build_job_request(payload: Dict[str, object]
         if not name:
             raise ValueError("name must not be empty when given")
     options = {
-        "jobs": max(1, int(payload.get("jobs", 1))),
+        "jobs": jobs,
         "warm_start": bool(payload.get("warm_start", False)),
         "trace": bool(payload.get("trace", False)),
         "early_exit": early_exit,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.fault.campaign import CampaignConfig, prepare_warm_start
@@ -148,6 +149,12 @@ class JobQueue:
         options = record["options"]
         campaign = int(record["campaign_id"])
         configs = self.db.job_configs(job_id)
+        if not options.get("early_exit", True):
+            # Stored configs omit the strategy flag (it is not part of a
+            # run's identity), so they reload with the default; re-apply
+            # the submitted one.
+            configs = [replace(config, early_exit=False)
+                       for config in configs]
         done, pending = self.db.split_pending(campaign, configs)
         completed = len(configs) - len(pending)
         self.db.update_job(job_id, state="running", completed=completed)
@@ -156,7 +163,6 @@ class JobQueue:
             return
 
         trace = bool(options.get("trace", False))
-        early_exit = bool(options.get("early_exit", True))
         runner = run_campaign_traced if trace else run_campaign
         executor = self._executor or CampaignExecutor(
             int(options.get("jobs", self.jobs)), runner=runner)
@@ -183,8 +189,7 @@ class JobQueue:
             self.db.update_job(job_id, completed=progress[0])
 
         try:
-            executor.run_many(pending, warm=warm, batch=early_exit,
-                              on_results=on_results)
+            executor.run_many(pending, warm=warm, on_results=on_results)
         except JobCancelled:
             self.db.update_job(job_id, state="cancelled")
             return

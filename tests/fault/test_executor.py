@@ -102,14 +102,14 @@ def test_expand_runs_keeps_original_seed_first():
 # -- failure modes -------------------------------------------------------------
 
 
-def _flaky_runner(config: CampaignConfig, warm, start) -> CampaignResult:
+def _flaky_runner(config: CampaignConfig, warm) -> CampaignResult:
     """Fails inside a pool worker, succeeds on the parent's serial retry."""
     if multiprocessing.parent_process() is not None:
         raise RuntimeError("simulated worker crash")
     return run_campaign(config)
 
 
-def _broken_runner(config: CampaignConfig, warm, start) -> CampaignResult:
+def _broken_runner(config: CampaignConfig, warm) -> CampaignResult:
     raise ValueError(f"always broken (seed {config.seed})")
 
 
@@ -139,7 +139,7 @@ def test_serial_failure_is_reported_too():
         executor.run_many([_config(seed=41)])
 
 
-def _selective_runner(config: CampaignConfig, warm, start) -> CampaignResult:
+def _selective_runner(config: CampaignConfig, warm) -> CampaignResult:
     if config.seed == 32:
         raise ValueError("seed 32 is cursed")
     return run_campaign(config)
@@ -197,7 +197,7 @@ def test_parallel_failure_carries_a_traceback():
 def test_no_retries_reports_without_second_attempt():
     calls = []
 
-    def counting_runner(config, warm, start):
+    def counting_runner(config, warm):
         calls.append(config.seed)
         raise RuntimeError("boom")
 

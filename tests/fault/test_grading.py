@@ -1,11 +1,10 @@
-"""Golden-timeline grading: early exit, strike batches, byte-identity."""
+"""Golden-timeline grading: early exit, divergence exit, byte-identity."""
 
 import dataclasses
 import pickle
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.fault.campaign import (
     Campaign,
     CampaignConfig,
@@ -14,20 +13,18 @@ from repro.fault.campaign import (
 from repro.fault.executor import (
     CampaignExecutor,
     expand_runs,
-    plan_batches,
     run_campaign_traced,
 )
 from repro.fault.grading import (
     DivergenceFix,
     checkpoint_schedule,
     divergence_exit,
-    first_strike_instructions,
 )
 from repro.fault.results import ResultStore
 
 #: Mid-size settings (10k prefix, 25k window close, 27k end): enough span
-#: for a ten-boundary timeline with eight in-window batch anchors, and a
-#: periodic flush so struck runs actually reconverge (section 4.8).
+#: for a ten-boundary timeline, and a periodic flush so struck runs
+#: actually reconverge (section 4.8).
 MID = dict(flux=400.0, fluence=300.0, instructions_per_second=20_000.0,
            beam_delay_s=0.5, beam_tail_s=0.1,
            flush_period_instructions=4_000)
@@ -92,12 +89,6 @@ def test_timeline_matches_schedule_and_anchors(warm_mid):
     assert timeline.window_close == prefix + window
     assert [cp.instruction for cp in timeline.checkpoints] == \
         list(checkpoint_schedule(prefix, window, tail))
-    # Restore snapshots exist exactly at the in-window boundaries.
-    for cp in timeline.checkpoints:
-        assert (cp.snapshot is not None) == \
-            (cp.instruction <= timeline.window_close)
-    anchors = timeline.anchors()
-    assert anchors[-1].instruction == timeline.window_close
 
 
 def test_timeline_byte_identical_across_preparations(warm_mid):
@@ -114,8 +105,7 @@ def test_early_exit_matches_full_oracle_wide_campaign(warm_tiny):
     configs = expand_runs(_tiny(), 200)
     oracle_configs = [dataclasses.replace(config, early_exit=False)
                       for config in configs]
-    oracle = CampaignExecutor(1).run_many(oracle_configs, warm=warm_tiny,
-                                          batch=False)
+    oracle = CampaignExecutor(1).run_many(oracle_configs, warm=warm_tiny)
     fast = CampaignExecutor(1).run_many(configs, warm=warm_tiny)
     assert [r.comparable() for r in fast] == \
         [r.comparable() for r in oracle]
@@ -124,7 +114,7 @@ def test_early_exit_matches_full_oracle_wide_campaign(warm_tiny):
     assert any(r.upsets > 0 for r in fast)
 
 
-def test_jobs_invariant_with_batching(warm_mid):
+def test_jobs_invariant_with_early_exit(warm_mid):
     configs = expand_runs(_mid(), 6)
     serial = CampaignExecutor(1).run_many(configs, warm=warm_mid)
     parallel = CampaignExecutor(4, chunksize=1).run_many(
@@ -214,8 +204,7 @@ def test_diverged_matches_full_oracle_parked_campaign(warm_parked):
     configs = expand_runs(_parked(), 24)
     oracle_configs = [dataclasses.replace(config, early_exit=False)
                       for config in configs]
-    oracle = CampaignExecutor(1).run_many(oracle_configs, warm=warm_parked,
-                                          batch=False)
+    oracle = CampaignExecutor(1).run_many(oracle_configs, warm=warm_parked)
     fast = CampaignExecutor(1).run_many(configs, warm=warm_parked)
     assert [r.comparable() for r in fast] == \
         [r.comparable() for r in oracle]
@@ -237,96 +226,6 @@ def test_divergence_declines_when_flush_phase_shifts(warm_parked):
     warm = prepare_warm_start(config)
     results = CampaignExecutor(1).run_many(expand_runs(config, 6), warm=warm)
     assert all(r.exit_reason != "diverged" for r in results)
-
-
-# -- batched strike scheduling -------------------------------------------------
-
-
-def test_plan_batches_partitions_by_first_strike(warm_mid):
-    configs = expand_runs(_mid(), 8)
-    batches = plan_batches(configs, warm_mid)
-    assert batches is not None
-    covered = sorted(i for b in batches for i in b.indices)
-    assert covered == list(range(len(configs)))
-    anchors = warm_mid.timeline.anchors()
-    firsts = first_strike_instructions(configs)
-    for batch in batches:
-        if batch.start is None:
-            continue
-        for index in batch.indices:
-            first = firsts[index]
-            if first is None:
-                assert batch.start == anchors[-1]
-            else:
-                fits = [a for a in anchors if a.instruction <= first]
-                assert batch.start == fits[-1]
-
-
-def test_strike_free_runs_anchor_at_window_close(warm_mid):
-    configs = [_mid(let=3.0, seed=seed) for seed in (1, 2)]
-    batches = plan_batches(configs, warm_mid)
-    assert batches is not None and len(batches) == 1
-    assert batches[0].start == warm_mid.timeline.anchors()[-1]
-    assert batches[0].indices == (0, 1)
-
-
-def test_plan_batches_requires_a_timeline(warm_mid):
-    assert plan_batches([_mid()], None) is None
-    gutted = dataclasses.replace(warm_mid, timeline=None)
-    assert plan_batches([_mid()], gutted) is None
-
-
-def test_batched_start_matches_unbatched_run(warm_mid):
-    anchors = warm_mid.timeline.anchors()
-    chosen = start = None
-    for seed in range(1, 40):
-        config = _mid(seed=seed)
-        first = first_strike_instructions([config])[0]
-        if first is None:
-            continue
-        fits = [a for a in anchors if a.instruction <= first]
-        if fits and fits[-1].instruction > warm_mid.executed:
-            chosen, start = config, fits[-1]
-            break
-    assert chosen is not None, "no seed strikes past the first anchor"
-    plain = Campaign(chosen).run(warm=warm_mid)
-    batched = Campaign(chosen).run(warm=warm_mid, start=start)
-    assert batched.comparable() == plain.comparable()
-    assert batched.upsets > 0
-
-
-def test_strike_free_batched_start_reconverges_on_the_spot(warm_mid):
-    # static_grading off: the analyzer would claim this run before the
-    # batched-start reconvergence check this test is about gets to run.
-    config = _mid(let=3.0, static_grading=False)
-    start = warm_mid.timeline.anchors()[-1]
-    plain = Campaign(config).run(warm=warm_mid)
-    batched = Campaign(config).run(warm=warm_mid, start=start)
-    assert batched.comparable() == plain.comparable()
-    assert batched.exit_reason == "reconverged"
-    assert batched.graded_at_instruction == warm_mid.timeline.window_close
-
-
-def test_start_requires_warm_and_snapshot(warm_mid):
-    anchor = warm_mid.timeline.anchors()[0]
-    with pytest.raises(ConfigurationError):
-        Campaign(_mid()).run(start=anchor)
-    tail_checkpoint = warm_mid.timeline.checkpoints[-1]
-    assert tail_checkpoint.snapshot is None
-    with pytest.raises(ConfigurationError):
-        Campaign(_mid()).run(warm=warm_mid, start=tail_checkpoint)
-
-
-def test_start_past_first_upset_rejected(warm_mid):
-    last = warm_mid.timeline.anchors()[-1]
-    for seed in range(1, 40):
-        config = _mid(seed=seed)
-        first = first_strike_instructions([config])[0]
-        if first is not None and first < last.instruction:
-            with pytest.raises(ConfigurationError):
-                Campaign(config).run(warm=warm_mid, start=last)
-            return
-    pytest.fail("no struck config found")
 
 
 # -- telemetry parity ----------------------------------------------------------

@@ -62,6 +62,16 @@ def test_paranoia_detects_less_than_iutest(iutest_report):
     assert paranoia.detection_fraction() <= iutest_report.detection_fraction()
 
 
+def test_random_program_accepted():
+    """Every entry point takes the same program specs, random:<seed> too."""
+    report = measure_detection_latency(
+        "random:7", strikes=4, window_instructions=4_000, seed=2,
+        warmup_range=(2_000, 4_000),
+    )
+    assert report.program == "random:7"
+    assert len(report.samples) == 4
+
+
 def test_unknown_program_rejected():
     with pytest.raises(ConfigurationError):
         measure_detection_latency("nope", strikes=1)

@@ -69,7 +69,7 @@ def test_static_masked_matches_full_oracle_200_runs(warm):
     configs = expand_runs(_cfg(), 200)
     fast = CampaignExecutor(1).run_many(configs, warm=warm)
     oracle = CampaignExecutor(1).run_many(
-        [_oracle(config) for config in configs], warm=warm, batch=False)
+        [_oracle(config) for config in configs], warm=warm)
     assert [r.comparable() for r in fast] == \
         [r.comparable() for r in oracle]
     statics = [r for r in fast if r.exit_reason == "static_masked"]
@@ -104,7 +104,7 @@ def test_store_rows_are_identical(tmp_path):
                                             on_results=store.append)
     assert any(r.exit_reason == "static_masked" for r in fast)
     oracle = CampaignExecutor(1).run_many(
-        [_oracle(config) for config in configs], warm=warm, batch=False)
+        [_oracle(config) for config in configs], warm=warm)
     stored = ResultStore(fast_path).load()
     assert [stored[config_key(config)].comparable() for config in configs] \
         == [r.comparable() for r in oracle]
@@ -143,7 +143,7 @@ def test_persistent_faults_are_never_statically_graded(warm):
     results = CampaignExecutor(1).run_many(configs, warm=warm)
     assert all(r.exit_reason != "static_masked" for r in results)
     oracle = CampaignExecutor(1).run_many(
-        [_oracle(config) for config in configs], warm=warm, batch=False)
+        [_oracle(config) for config in configs], warm=warm)
     assert [r.comparable() for r in results] == \
         [r.comparable() for r in oracle]
 

@@ -417,7 +417,7 @@ def _warm_system(jit):
 
 @pytest.mark.parametrize("jit", [False, True])
 def test_run_fast_entry_pc_equals_stop_pc_is_zero_progress(jit):
-    """A run whose entry PC already equals ``stop_pc`` (batched grading
+    """A run whose entry PC already equals ``stop_pc`` (a grading walk
     landing exactly on a boundary) must terminate immediately with
     zero-progress semantics -- no wedge, no miscount, no state change."""
     system = _warm_system(jit)

@@ -57,6 +57,28 @@ def test_build_job_request_rejects_bad_input():
         build_job_request([1, 2, 3])
 
 
+@pytest.mark.parametrize("overrides", [
+    {"beam_delay": 1e9},
+    {"beam_tail": 1e9},
+    {"flux": float("nan")},
+    {"lets": [60.0, float("nan")]},
+    {"ips": float("inf")},
+    {"seed": float("inf")},
+    {"jobs": float("inf")},
+    {"flux": 0},
+    {"ips": -2_000.0},
+    {"fluence": -150.0},
+    {"beam_delay": -0.25},
+    {"beam_tail": -0.5},
+    {"flush_period": -400},
+])
+def test_build_job_request_rejects_out_of_range_numbers(overrides):
+    """Numbers that would hold the scheduler thread for ever, or fail
+    later inside it, are rejected before the job exists."""
+    with pytest.raises(ValueError):
+        build_job_request(dict(TINY_PAYLOAD, **overrides))
+
+
 # -- the server ----------------------------------------------------------------
 
 

@@ -119,6 +119,18 @@ def test_resume_skips_stored_runs(db):
         [r.comparable() for r in direct]
 
 
+def test_early_exit_option_runs_every_run_in_full(db, queue):
+    """Stored configs do not carry ``early_exit``, so the job option must
+    turn grading off for the reloaded configs too."""
+    configs = expand_runs(_tiny(early_exit=False), 4)
+    job_id = queue.submit(configs, name="oracle",
+                          options={"warm_start": True, "early_exit": False})
+    assert queue.wait(job_id, timeout_s=120)["state"] == "done"
+    results = db.results(db.campaign_id("oracle"))
+    assert len(results) == 4
+    assert all(r.exit_reason == "full" for r in results)
+
+
 def test_trace_option_stores_run_events(db, queue):
     job_id = queue.submit(expand_runs(_tiny(), 2), name="traced",
                           options={"trace": True})
