@@ -32,12 +32,10 @@ from repro.errors import ConfigurationError
 from repro.fault.beam import BeamParameters
 from repro.fault.grading import (
     DEFAULT_CHECKPOINTS,
-    DivergenceFix,
     GoldenCheckpoint,
     GoldenRun,
     GoldenTimeline,
     checkpoint_schedule,
-    divergence_exit,
 )
 from repro.fault.injector import FaultInjector
 from repro.fault.models import build_model
@@ -199,9 +197,10 @@ class CampaignResult:
     unrecovered: bool = False
     #: How classification concluded: ``"full"`` (the complete measurement
     #: loop executed), ``"reconverged"`` (the architectural digest hit a
-    #: golden-timeline checkpoint), ``"static_masked"`` (every strike was
-    #: provably dead, nothing executed) or ``"diverged"`` (a fixed point
-    #: was extrapolated to the run end).  ``""`` in pre-grading logs.
+    #: golden-timeline checkpoint) or ``"static_masked"`` (every strike
+    #: was provably dead, nothing executed).  ``""`` in pre-grading logs;
+    #: ``"diverged"`` (a fixed point extrapolated to the run end) appears
+    #: only in logs of older builds.
     #: Execution annotation: every *measured* field is identical to the
     #: full run's.
     exit_reason: str = ""
@@ -402,7 +401,7 @@ class Campaign:
         builder = self._builder
         # Effectively-endless by default; a finite override makes the
         # program park at ``_exit`` when done (still alive, still hit by
-        # the beam -- the divergence detector's natural prey).
+        # the beam, so a late strike stays latent to the run end).
         kwargs = {"iterations": 1_000_000, **config.program_kwargs}
         program, _expected = builder(self.leon_config, **kwargs)
         harness = ProgramHarness(system, program)
@@ -513,11 +512,10 @@ class Campaign:
         it; a warm run whose every strike the ACE map proves dead is
         graded there (``static_masked``) and never restored or executed.
         *Advance* applies the strikes in arrival order.  *Classify* picks
-        the exit -- ``reconverged`` or ``diverged`` from the golden
-        timeline, else ``full`` after draining the tail -- and
-        :meth:`_finish` reports it.  The effaced exits
-        (:data:`EFFACED_EXITS`) read out the golden final state; the
-        others read the live system, plus the divergence extrapolation.
+        the exit -- ``reconverged`` from the golden timeline, else
+        ``full`` after draining the tail -- and :meth:`_finish` reports
+        it.  The effaced exits (:data:`EFFACED_EXITS`) read out the
+        golden final state; ``full`` reads the live system.
         """
         started = time.perf_counter()
         config = self.config
@@ -627,13 +625,11 @@ class Campaign:
         # past a match: digest equality implies the suspect sets are
         # empty, and only suspect storage triggers corrections.
         graded: Optional[GoldenCheckpoint] = None
-        diverged: Optional[DivergenceFix] = None
-        periods = 0
         if not static:
             if (alive and timeline is not None and timeline.checkpoints
                     and not recovered()):
-                graded, diverged = self._grade(system, state, timeline,
-                                               advance, recovered)
+                graded = self._grade(system, state, timeline, advance,
+                                     recovered)
                 alive = not state["failed"]
             elif alive:
                 alive = advance(window_close)
@@ -641,20 +637,7 @@ class Campaign:
                 telemetry.note("span", phase="beam",
                                wall_s=time.perf_counter() - beam_started,
                                instr=state["executed"])
-            # Permanent-divergence exit: the faulted digest repeated across
-            # two consecutive mismatching boundaries, so the run is parked
-            # in a fixed point and will never reconverge.  Full periods are
-            # architectural no-ops; executing the sub-period remainder
-            # lands on the exact end-of-run state, and the skipped periods'
-            # cycle and counter costs are added back arithmetically -- the
-            # readouts are byte-identical to draining the tail.
-            if diverged is not None:
-                periods, remainder = divergence_exit(diverged,
-                                                     total_instructions)
-                alive = advance(diverged.boundary + remainder)
-                if not alive or recovered():
-                    diverged = None  # drain the tail instead
-            if graded is None and diverged is None:
+            if graded is None:
                 drain_started = time.perf_counter()
                 if alive:
                     advance(total_instructions)
@@ -684,22 +667,11 @@ class Campaign:
                                cycles=system.perf.cycles
                                + timeline.tail_cycles_from(graded))
         else:
-            # The live system's readouts, plus the skipped periods of a
-            # fixed point.
-            counts = self._final_counts(system)
             outcome = dict(_read_results(system, result_base, harvested),
-                           exit_reason="full", counts=counts,
+                           exit_reason="full",
+                           counts=self._final_counts(system),
                            instructions=state["executed"],
                            cycles=system.perf.cycles)
-            if diverged is not None:
-                for name, delta in diverged.counts_per_period.items():
-                    if delta:
-                        counts[name] = counts.get(name, 0) + periods * delta
-                outcome.update(exit_reason="diverged",
-                               graded_at_instruction=diverged.boundary,
-                               instructions=total_instructions,
-                               cycles=system.perf.cycles
-                               + periods * diverged.cycles_per_period)
         return self._finish(outcome, started=started, injector=injector,
                             recovery=recovery,
                             upsets_by_target=upsets_by_target,
@@ -773,52 +745,23 @@ class Campaign:
                timeline: GoldenTimeline,
                advance: Callable[[int], bool],
                recovered: Callable[[], bool],
-               ) -> "tuple[Optional[GoldenCheckpoint], " \
-                    "Optional[DivergenceFix]]":
+               ) -> Optional[GoldenCheckpoint]:
         """Walk the golden checkpoint boundaries grading the run.
 
-        Called once every scheduled strike has been applied.  Returns
-        ``(checkpoint, None)`` for the first boundary whose architectural
-        digest the faulted run matches (reconverged), ``(None, fix)``
-        when two consecutive mismatching boundaries repeat the *faulted*
-        digest and flush phase (permanently diverged into a fixed point
-        -- e.g. parked in the end-of-program spin with a latent upset
-        resident), and ``(None, None)`` when the run diverges through
-        the last boundary aperiodically, fails, or recovers mid-walk
-        (recovered runs carry harvested tallies the golden readouts do
-        not).
+        Called once every scheduled strike has been applied.  Returns the
+        first boundary whose architectural digest the faulted run matches
+        (reconverged), or None when the run mismatches through the last
+        boundary, fails, or recovers mid-walk (recovered runs carry
+        harvested tallies the golden readouts do not).
         """
-        flush_period = self.config.flush_period_instructions
-        previous = None  # (digest, flush phase, instruction, cycles, counts)
         for checkpoint in timeline.checkpoints:
             if checkpoint.instruction < state["executed"]:
                 continue
             if not advance(checkpoint.instruction) or recovered():
-                return None, None
-            digest = system.state_digest()
-            if digest == checkpoint.digest:
-                return checkpoint, None
-            # The flush phase is the one behavioural input outside the
-            # digest: a repeat only proves periodicity if it repeats too
-            # (without periodic flushing there is no phase to match).
-            phase = state["since_flush"] % flush_period if flush_period else 0
-            cycles = system.perf.cycles
-            counts = dict(system.errors.as_dict())
-            if (previous is not None and previous[0] == digest
-                    and previous[1] == phase):
-                period = checkpoint.instruction - previous[2]
-                if period > 0:
-                    return None, DivergenceFix(
-                        boundary=checkpoint.instruction,
-                        period=period,
-                        cycles_per_period=cycles - previous[3],
-                        counts_per_period={
-                            name: counts[name] - previous[4].get(name, 0)
-                            for name in counts
-                        },
-                    )
-            previous = (digest, phase, checkpoint.instruction, cycles, counts)
-        return None, None
+                return None
+            if system.state_digest() == checkpoint.digest:
+                return checkpoint
+        return None
 
     def _finish(self, outcome: Dict, *, started: float,
                 injector: FaultInjector,
@@ -923,8 +866,6 @@ def prepare_warm_start(config: CampaignConfig, *,
                                       cycles=system.perf.cycles))
     if any(mark.instruction == window_close for mark in marks):
         timeline = GoldenTimeline(
-            window_close=window_close,
-            end=state["executed"],
             end_cycles=system.perf.cycles,
             checkpoints=tuple(marks),
             final=GoldenRun(executed=state["executed"],

@@ -7,27 +7,16 @@ run shortly after its last upset is corrected or overwritten, or diverges
 for good.  Executing every run to program end therefore spends nearly all
 campaign wall-clock on tails whose outcome is already decided.
 
-This module holds the data model of the grading layer:
-
-* :class:`GoldenTimeline` -- periodic architectural-digest checkpoints of
-  the golden run, computed once per campaign configuration by
-  :func:`repro.fault.campaign.prepare_warm_start` and shipped to every
-  run inside the :class:`~repro.fault.campaign.WarmStart`.  A faulted run
-  that reaches a checkpoint boundary with a matching digest has provably
-  reconverged: its remaining execution -- every instruction, counter
-  freeze, and result-area write -- is the golden run's, so it terminates
-  there and reports the golden end-of-run readouts, byte-identical to
-  full execution.
-* :class:`DivergenceFix` / :func:`divergence_exit` -- the permanent-
-  divergence early exit.  A faulted run whose architectural digest (and
-  cache-flush phase) is *identical at two consecutive boundaries* is in
-  a fixed point: execution from the earlier boundary is periodic with
-  period equal to the boundary spacing, so the run's end state is
-  computed exactly by advancing ``(end - boundary) % period``
-  instructions and adding ``(end - boundary) // period`` times the
-  per-period cycle/counter deltas (``exit_reason="diverged"``).  Latent
-  runs -- strikes parked in state the program never reads again -- stop
-  costing their whole tail.
+This module holds the data model of the grading layer, the
+:class:`GoldenTimeline`: periodic architectural-digest checkpoints of the
+golden run, computed once per campaign configuration by
+:func:`repro.fault.campaign.prepare_warm_start` and shipped to every run
+inside the :class:`~repro.fault.campaign.WarmStart`.  A faulted run that
+reaches a checkpoint boundary with a matching digest has provably
+reconverged: its remaining execution -- every instruction, counter
+freeze, and result-area write -- is the golden run's, so it terminates
+there and reports the golden end-of-run readouts, byte-identical to full
+execution.  A run that matches no boundary executes to the end.
 
 Digests are architectural (:meth:`repro.state.snapshot.Snapshot.digest`):
 diag/counter state is excluded, because the error monitor remembers that
@@ -37,7 +26,7 @@ and grading must classify exactly those runs early.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 #: Checkpoints per golden timeline (the schedule may emit fewer when the
@@ -46,7 +35,8 @@ DEFAULT_CHECKPOINTS = 16
 
 #: Floor on checkpoint spacing, in instructions.  An architectural digest
 #: costs roughly a thousand simulated instructions of host time, so denser
-#: boundaries would cost diverged runs more than the skipped tail saves.
+#: boundaries would cost runs that never reconverge (and execute to the
+#: end anyway) more than an earlier match saves.
 MIN_CHECKPOINT_INTERVAL = 2_000
 
 
@@ -85,12 +75,8 @@ class GoldenCheckpoint:
 class GoldenTimeline:
     """The golden run, reduced to periodic digests plus its end readouts."""
 
-    #: Instruction count at which the beam window closes.
-    window_close: int
-    #: Instruction count at which the golden run ended (window close plus
-    #: tail, or earlier if the golden run parked in the tail).
-    end: int
-    #: Golden device cycles at ``end``.
+    #: Golden device cycles at the end of the golden run (window close
+    #: plus tail, or earlier if the golden run parked in the tail).
     end_cycles: int
     #: Digest boundaries, ascending; always includes the window close.
     checkpoints: Tuple[GoldenCheckpoint, ...]
@@ -100,46 +86,6 @@ class GoldenTimeline:
     def tail_cycles_from(self, checkpoint: GoldenCheckpoint) -> int:
         """Device cycles the golden run spends from *checkpoint* to end."""
         return self.end_cycles - checkpoint.cycles
-
-
-@dataclass(frozen=True)
-class DivergenceFix:
-    """A permanently-diverged run caught at a fixed point.
-
-    Two consecutive golden boundaries where the *faulted* digest (and
-    periodic-flush phase) repeated while mismatching the golden digest:
-    the machine is deterministic, so its execution from the second
-    boundary on is periodic with period ``period`` -- it will never
-    reconverge, and every future state is one the detector has already
-    seen.  The remaining tail can therefore be extrapolated instead of
-    executed (:func:`divergence_exit`), byte-identical to the full
-    oracle.
-    """
-
-    #: Executed-instruction count of the second (confirming) boundary.
-    boundary: int
-    #: Instructions per fixed-point period (the boundary gap).
-    period: int
-    #: Device cycles one period costs.
-    cycles_per_period: int
-    #: Error-counter increments one period accrues (corrections repeat
-    #: with the state, so the monitor keeps counting while parked).
-    counts_per_period: Dict[str, int] = field(default_factory=dict)
-
-
-def divergence_exit(fix: DivergenceFix, end: int) -> Tuple[int, int]:
-    """``(periods_skipped, advance)`` landing a fixed-point run on *end*.
-
-    State at ``boundary + advance`` equals state at *end* because full
-    periods are architectural no-ops; the skipped periods' cycle and
-    counter costs are added back arithmetically
-    (``periods_skipped * fix.cycles_per_period`` / ``counts_per_period``).
-    """
-    remaining = end - fix.boundary
-    if remaining <= 0 or fix.period <= 0:
-        return 0, max(remaining, 0)
-    periods, advance = divmod(remaining, fix.period)
-    return periods, advance
 
 
 def checkpoint_schedule(prefix: int, window: int, tail: int, *,

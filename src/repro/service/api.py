@@ -37,9 +37,11 @@ dashboard.  Submission payload::
 ``?fault_model=<kind>`` filters the ``results``/``table2`` campaign
 views down to runs of that model.
 
-``lets`` submits one run per LET point with the ``seed + index`` mapping
-of :func:`repro.fault.crosssection.measure_curve`; ``runs`` replicates
-each point with derived seeds exactly like ``repro campaign --runs``.
+``lets`` (a JSON array) submits one run per LET point with the
+``seed + index`` mapping of :func:`repro.fault.crosssection.measure_curve`;
+``runs`` replicates each point with derived seeds exactly like
+``repro campaign --runs``.  ``jobs`` may not exceed the worker processes
+the server was started with (``repro serve --jobs``).
 """
 
 from __future__ import annotations
@@ -104,9 +106,11 @@ def build_job_request(payload: Dict[str, object]
     recovery = str(payload.get("recovery", "none"))
     if recovery not in POLICIES:
         raise ValueError(f"unknown recovery policy {recovery!r}")
+    lets = payload.get("lets", [payload.get("let", 110.0)])
+    if not isinstance(lets, list):
+        raise ValueError("lets must be a JSON array")
     try:
-        lets = [float(let) for let in payload.get(
-            "lets", [payload.get("let", 110.0)])]
+        lets = [float(let) for let in lets]
         flux = float(payload.get("flux", 400.0))
         fluence = float(payload.get("fluence", 2.0e3))
         seed = int(payload.get("seed", 1))

@@ -86,9 +86,18 @@ class JobQueue:
     def submit(self, configs: Sequence[CampaignConfig], *,
                name: Optional[str] = None,
                options: Optional[Dict[str, object]] = None) -> int:
-        """Persist and enqueue a job; returns its id immediately."""
+        """Persist and enqueue a job; returns its id immediately.
+
+        A job may ask for at most the worker processes the queue was
+        built with (``repro serve --jobs``): the requested count becomes
+        the job's process-pool size.
+        """
         if not configs:
             raise ValueError("a job needs at least one config")
+        requested = int((options or {}).get("jobs", self.jobs))
+        if requested > self.jobs:
+            raise ValueError(f"jobs must be at most {self.jobs} (the "
+                             f"server's --jobs), got {requested}")
         job_id = self.db.create_job(configs, name=name, options=options)
         self._queue.put(job_id)
         return job_id

@@ -10,12 +10,12 @@ corpus.  This package is the single path to that corpus:
     :class:`~repro.fault.results.ResultStore` format.
 
 ``repro.store.sources``
-    Result sources -- :class:`JsonlResults` and :class:`DatabaseResults`
-    present the same ordered ``List[CampaignResult]`` view over either
-    backing store, so every query below is backend-agnostic.  The
-    module also wraps the raw JSONL reads (:func:`load_results`,
-    :func:`split_pending`) the CLI used to perform on ``ResultStore``
-    directly: lint rule FT501 keeps those reads inside this package.
+    The raw JSONL reads (:func:`load_results`, :func:`split_pending`)
+    the CLI used to perform on ``ResultStore`` directly: lint rule FT501
+    keeps those reads inside this package.  :func:`load_results` yields
+    the same ordered ``List[CampaignResult]`` view as
+    :meth:`CampaignDatabase.results`, so every query below is
+    backend-agnostic.
 
 ``repro.store.query``
     The query functions the CLI and the campaign service both sit on:
@@ -32,17 +32,10 @@ from repro.store.query import (
     lifecycle_rows,
     trace_stats,
 )
-from repro.store.sources import (
-    DatabaseResults,
-    JsonlResults,
-    load_results,
-    split_pending,
-)
+from repro.store.sources import load_results, split_pending
 
 __all__ = [
     "CampaignDatabase",
-    "DatabaseResults",
-    "JsonlResults",
     "availability_readout",
     "curve_from_results",
     "diff_results",

@@ -1,14 +1,13 @@
-"""Result sources: one ordered view over either backing store.
+"""Result sources: the sanctioned JSONL readers.
 
-A *source* yields the campaign's results as an ordered
-``List[CampaignResult]`` -- the shape every query in
-:mod:`repro.store.query` consumes -- regardless of whether the runs live
-in a crash-safe JSONL log (:class:`JsonlResults`) or in the campaign
-database (:class:`DatabaseResults`).  The two views of the same campaign
-are byte-identical, which is what makes the HTTP service's numbers
-provably equal to the CLI's.
+A crash-safe JSONL log and a database campaign both yield a campaign's
+results as an ordered ``List[CampaignResult]`` -- the shape every query
+in :mod:`repro.store.query` consumes -- through :func:`load_results` and
+:meth:`~repro.store.db.CampaignDatabase.results`.  The two views of the
+same campaign are byte-identical, which is what makes the HTTP service's
+numbers provably equal to the CLI's.
 
-This module is also the sanctioned home of raw JSONL *reads*: lint rule
+This module is the sanctioned home of raw JSONL *reads*: lint rule
 FT501 (``store-query-path``) flags ``ResultStore.load`` /
 ``split_pending`` calls anywhere else in the package, so every consumer
 -- CLI subcommands included -- goes through :func:`load_results` /
@@ -38,28 +37,3 @@ def split_pending(
 ) -> "tuple[Dict[str, CampaignResult], List[CampaignConfig]]":
     """Partition configs against a JSONL log: (stored results, to-run)."""
     return ResultStore(path).split_pending(configs)
-
-
-class JsonlResults:
-    """A JSONL result log presented as an ordered result source."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-
-    def results(self) -> List[CampaignResult]:
-        return load_results(self.path)
-
-
-class DatabaseResults:
-    """One database campaign presented as an ordered result source."""
-
-    def __init__(self, db, campaign) -> None:
-        self.db = db
-        self.campaign = db.campaign_id(campaign)
-
-    def results(self) -> List[CampaignResult]:
-        return self.db.results(self.campaign)
-
-    def events(self) -> List[Dict[str, object]]:
-        """The campaign's stored telemetry events, (run, seq)-ordered."""
-        return self.db.events(self.campaign)

@@ -1,4 +1,4 @@
-"""Structured telemetry for the fault path: events, sinks, metrics.
+"""Structured telemetry for the fault path: events, sinks, trace folds.
 
 The observability layer the paper's host computer approximated with
 counter read-outs: every SEU gets a lifecycle trace (strike ->
@@ -9,7 +9,7 @@ zero-cost -- see the throughput benchmark guard.
 """
 
 from repro.telemetry.bus import CLOSE_STATES, NULL_TELEMETRY, Telemetry
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.metrics import Histogram
 from repro.telemetry.sinks import JsonlTraceSink, MemorySink, NullSink
 from repro.telemetry.trace import (
     Lifecycle,
@@ -27,7 +27,6 @@ __all__ = [
     "JsonlTraceSink",
     "Lifecycle",
     "MemorySink",
-    "MetricsRegistry",
     "NULL_TELEMETRY",
     "NullSink",
     "Telemetry",

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.sinks import NullSink
 
 #: Terminal lifecycle states an upset can reach via ``close``.
@@ -60,13 +59,11 @@ CLOSE_STATES = ("latent", "masked")
 class Telemetry:
     """Structured event emitter with SEU open-upset correlation."""
 
-    __slots__ = ("enabled", "sink", "metrics", "_next_upset", "_open")
+    __slots__ = ("enabled", "sink", "_next_upset", "_open")
 
-    def __init__(self, sink=None, *, enabled: bool = True,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sink=None, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self.sink = sink if sink is not None else NullSink()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._next_upset = 0
         #: (target, word) -> open upset ids at that site, oldest first.
         self._open: Dict[Tuple[str, Optional[int]], List[int]] = {}
@@ -77,7 +74,6 @@ class Telemetry:
 
     def emit(self, event: Dict[str, object]) -> None:
         self.sink.write(event)
-        self.metrics.count("events." + str(event["ev"]))
 
     def note(self, ev: str, **fields) -> None:
         """Emit a free-form event of type *ev*."""
@@ -139,8 +135,6 @@ class Telemetry:
         if count != 1:
             event["count"] = count
         self.emit(event)
-        if counter:
-            self.metrics.count("counter." + counter, count)
 
     def resolve(self, site: str, word: Optional[int], *, action: str,
                 instr: int) -> None:

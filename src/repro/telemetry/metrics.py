@@ -1,16 +1,15 @@
-"""Metrics registry: named counters and log-2 bucketed histograms.
+"""Log-2 bucketed histograms for trace folds.
 
-The registry is the in-process aggregate view of the event stream --
-the ``stats`` CLI folds a JSONL trace back into one of these, and an
-enabled :class:`~repro.telemetry.bus.Telemetry` keeps per-event-type
-counts as it emits.  Histograms use power-of-two buckets because the
-quantities they hold (detection latencies in instructions, downtime in
-cycles) span four orders of magnitude.
+:func:`~repro.telemetry.trace.fold_stats` -- what ``repro stats`` runs
+over a JSONL trace -- keeps one per protection site for detection
+latencies.  Histograms use power-of-two buckets because the quantities
+they hold (detection latencies in instructions) span four orders of
+magnitude.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 
 class Histogram:
@@ -58,45 +57,3 @@ class Histogram:
                 label = f"{2 ** (bucket - 1)}-{2 ** bucket - 1}"
             rows.append((label, self.buckets[bucket]))
         return rows
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
-        }
-
-
-class MetricsRegistry:
-    """Named monotonic counters plus named histograms."""
-
-    __slots__ = ("counters", "histograms")
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, int] = {}
-        self.histograms: Dict[str, Histogram] = {}
-
-    def count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def histogram(self, name: str) -> Histogram:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram()
-        return histogram
-
-    def observe(self, name: str, value: int) -> None:
-        self.histogram(name).observe(value)
-
-    def names(self) -> Iterable[str]:
-        return sorted(set(self.counters) | set(self.histograms))
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "histograms": {name: h.as_dict()
-                           for name, h in sorted(self.histograms.items())},
-        }

@@ -158,8 +158,9 @@ class TraceStats:
     trap_counts: Dict[str, int] = field(default_factory=dict)
     watchdog_resets: int = 0
     compare_errors: int = 0
-    #: Early-exit notes folded by reason (reconverged / diverged /
-    #: static-masked); empty for full-execution traces.
+    #: Early-exit notes folded by reason (reconverged / static-masked;
+    #: traces of older builds may also say diverged); empty for
+    #: full-execution traces.
     early_exits: Dict[str, int] = field(default_factory=dict)
     #: The static analyzer's ACE summary, from the warm start's ``ace``
     #: note (None when the trace carries none).

@@ -14,6 +14,7 @@ from repro.fault.results import (
     result_from_dict,
     result_to_dict,
 )
+from repro.store import fold_results
 
 FAST = dict(flux=400.0, fluence=500.0, instructions_per_second=30_000.0)
 
@@ -182,6 +183,21 @@ def test_pre_grading_rows_load_with_defaults(tmp_path):
     assert legacy.exit_reason == "reconverged"
     assert legacy.effaced
     assert result_to_dict(legacy)["effaced"] is True
+    # Older builds extrapolated runs parked in a fixed point to the end
+    # (``diverged``); such rows still load and fold like any other run.
+    row = result_to_dict(_result(seed=4))
+    row.update(exit_reason="diverged", graded_at_instruction=20_000)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(row) + "\n")
+    rows = ResultStore(path).load()
+    diverged = rows[config_key(_config(seed=4))]
+    assert diverged.exit_reason == "diverged"
+    assert diverged.graded_at_instruction == 20_000
+    assert not diverged.effaced
+    fold = fold_results(list(rows.values()))
+    assert fold["runs"] == 4
+    assert fold["totals"]["instructions"] == \
+        sum(r.instructions for r in rows.values())
 
 
 # -- resume through the executor -----------------------------------------------

@@ -53,6 +53,8 @@ def test_build_job_request_rejects_bad_input():
         build_job_request(dict(TINY_PAYLOAD, let="not-a-number"))
     with pytest.raises(ValueError):
         build_job_request(dict(TINY_PAYLOAD, lets=[]))
+    with pytest.raises(ValueError, match="JSON array"):
+        build_job_request(dict(TINY_PAYLOAD, lets="110"))
     with pytest.raises(ValueError):
         build_job_request([1, 2, 3])
 
@@ -250,6 +252,14 @@ def test_oversized_job_rejected(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _call(server, "/api/jobs",
               dict(TINY_PAYLOAD, lets=[1.0] * 101, runs=1_000))
+    assert err.value.code == 400
+    # One worker process per run is not the submitter's to choose: the
+    # server was started with one.
+    configs, _, options = build_job_request(dict(TINY_PAYLOAD, jobs=2))
+    with pytest.raises(ValueError, match="at most 1"):
+        server.queue.submit(configs, options=options)
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _call(server, "/api/jobs", dict(TINY_PAYLOAD, jobs=1_000_000))
     assert err.value.code == 400
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fault.campaign import CampaignConfig, CampaignResult
 from repro.fault.results import ResultStore, config_key, config_to_dict
-from repro.store import CampaignDatabase, DatabaseResults, JsonlResults
+from repro.store import CampaignDatabase, load_results
 
 FAST = dict(flux=400.0, fluence=500.0, instructions_per_second=30_000.0)
 
@@ -104,8 +104,8 @@ def test_jsonl_and_database_sources_agree(db, tmp_path):
     with ResultStore(path) as store:
         store.append(results)
     campaign, _ = db.ingest_results(path, name="imported")
-    from_file = JsonlResults(path).results()
-    from_db = DatabaseResults(db, campaign).results()
+    from_file = load_results(path)
+    from_db = db.results(campaign)
     assert [r.comparable() for r in from_file] == \
         [r.comparable() for r in from_db]
 

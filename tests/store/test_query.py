@@ -10,12 +10,11 @@ from repro.fault.report import render_table2
 from repro.fault.results import ResultStore
 from repro.store import (
     CampaignDatabase,
-    DatabaseResults,
-    JsonlResults,
     availability_readout,
     curve_from_results,
     diff_results,
     fold_results,
+    load_results,
     trace_stats,
 )
 from repro.telemetry import JsonlTraceSink, fold_stats, read_trace
@@ -42,20 +41,21 @@ def campaign_results():
 
 @pytest.fixture()
 def stores(tmp_path, campaign_results):
-    """The same campaign in a JSONL log and a database campaign."""
+    """The same campaign read back from a JSONL log and from a database
+    campaign."""
     path = str(tmp_path / "runs.jsonl")
     with ResultStore(path) as store:
         store.append(campaign_results)
     db = CampaignDatabase(":memory:")
     campaign, _ = db.ingest_results(path, name="tiny")
-    yield JsonlResults(path), DatabaseResults(db, campaign)
+    yield load_results(path), db.results(campaign)
     db.close()
 
 
 def test_table2_identical_across_backends(stores):
     jsonl, database = stores
-    assert render_table2(jsonl.results()) == render_table2(database.results())
-    assert fold_results(jsonl.results()) == fold_results(database.results())
+    assert render_table2(jsonl) == render_table2(database)
+    assert fold_results(jsonl) == fold_results(database)
 
 
 def test_fold_totals_match_results(campaign_results):
@@ -70,8 +70,8 @@ def test_fold_totals_match_results(campaign_results):
 
 def test_curve_identical_across_backends(stores):
     jsonl, database = stores
-    assert curve_from_results(jsonl.results()).as_dict() == \
-        curve_from_results(database.results()).as_dict()
+    assert curve_from_results(jsonl).as_dict() == \
+        curve_from_results(database).as_dict()
 
 
 def test_curve_matches_live_sweep():
@@ -93,8 +93,7 @@ def test_curve_matches_live_sweep():
 
 def test_availability_identical_across_backends(stores):
     jsonl, database = stores
-    assert availability_readout(jsonl.results()) == \
-        availability_readout(database.results())
+    assert availability_readout(jsonl) == availability_readout(database)
 
 
 def test_diff_of_identical_campaigns_is_clean(campaign_results):
