@@ -14,7 +14,10 @@ acceptance invariants directly:
   * two submitters racing on separate threads both reach ``done`` and
     each campaign holds exactly its own runs (jobs-invariance);
   * ``/api/diff`` between the HTTP campaign and an ingested copy of the
-    direct run reports zero changed runs.
+    direct run reports zero changed runs;
+  * a second traced job under the first job's name adds its runs to the
+    shared campaign, and ``/api/campaigns/<c>/stats`` folds the traces of
+    every stored run (no job's events replace another's).
 
 Exit code 1 on any violation.
 
@@ -67,7 +70,7 @@ def main() -> int:
     try:
         # One campaign over HTTP, polled to done.
         job = call(server.url + "/api/jobs",
-                   dict(PAYLOAD, name="http-smoke"))
+                   dict(PAYLOAD, name="http-smoke", trace=True))
         print(f"submitted job #{job['id']}: {job['total']} run(s)")
         record = server.queue.wait(job["id"], timeout_s=300)
         print(f"job #{job['id']} finished: {record['state']} "
@@ -147,6 +150,19 @@ def main() -> int:
             else:
                 print(f"concurrent submitter {name}: done, "
                       f"{len(results)} run(s): OK")
+
+        # A second traced job appends to the first job's campaign.
+        job = call(server.url + "/api/jobs",
+                   dict(PAYLOAD, seed=30, name="http-smoke", trace=True))
+        record = server.queue.wait(job["id"], timeout_s=300)
+        stored = len(server.db.results(server.db.campaign_id("http-smoke")))
+        traced = call(server.url + "/api/campaigns/http-smoke/stats")["runs"]
+        if record["state"] != "done" or traced != stored:
+            print(f"FAIL: shared campaign holds {stored} run(s) but the "
+                  f"traces of {traced} (job {record['state']})")
+            failed = True
+        else:
+            print(f"shared campaign: traces of all {stored} run(s): OK")
     finally:
         server.shutdown()
         server.queue.stop()

@@ -28,6 +28,7 @@ measured mean outage replacing the 30 s constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
@@ -207,7 +208,12 @@ def measure_availability(results: Iterable, *,
     """Fold recovery-enabled campaign results into measured availability.
 
     ``results`` are :class:`~repro.fault.campaign.CampaignResult` records
-    (typically loaded from a ``campaign --results`` JSONL store)."""
+    (typically loaded from a ``campaign --results`` JSONL store).
+    Raises :class:`ValueError` unless *clock_hz* is finite and positive.
+    """
+    if not (math.isfinite(clock_hz) and clock_hz > 0):
+        raise ValueError(
+            f"clock_hz must be finite and positive, got {clock_hz!r}")
     runs = 0
     up_cycles = 0
     down_cycles = 0

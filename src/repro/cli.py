@@ -450,18 +450,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     trace_sink = JsonlTraceSink(args.trace) if args.trace else None
     runner = run_campaign_traced if trace_sink is not None else run_campaign
-    next_run_index = 0
+    # A run's trace index is its place in the config list, so a resumed
+    # campaign's trace continues the interrupted one's numbering.
+    run_indices = iter([index for index, cfg in enumerate(configs)
+                        if not done or config_key(cfg) not in done])
 
     def on_results(batch):
         # The executor delivers batches in config order (both paths), so
         # run indices -- and the trace file -- are jobs-invariant.
-        nonlocal next_run_index
         if store is not None:
             store.append(batch)
         if trace_sink is not None:
             for result in batch:
-                trace_sink.write_run(result.trace or [], run=next_run_index)
-                next_run_index += 1
+                trace_sink.write_run(result.trace or [], run=next(run_indices))
 
     started = time.perf_counter()
     warm = None
@@ -723,7 +724,11 @@ def _cmd_availability(args: argparse.Namespace) -> int:
     if not results:
         print(f"\nno results in {args.measured}", file=sys.stderr)
         return 1
-    measured = measure_availability(results, clock_hz=args.clock_hz)
+    try:
+        measured = measure_availability(results, clock_hz=args.clock_hz)
+    except ValueError as exc:
+        print(f"error: argument --clock-hz: {exc}", file=sys.stderr)
+        return 2
     print(f"\nmeasured from {args.measured} "
           f"({measured.runs} run(s) at {args.clock_hz:.0f} Hz)")
     for level in ("pipeline-restart", "cache-flush", "warm-reset",

@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
-from repro.errors import ConfigurationError, StateError
+from repro.errors import ConfigurationError
 from repro.fault.injector import FaultInjector
-from repro.state.snapshot import capture_rng, restore_rng
 
 #: Die area of the LEON-Express device, cm^2 ("roughly 40 mm2", section 5.3).
 DIE_AREA_CM2 = 0.40
@@ -133,14 +132,6 @@ class HeavyIonBeam:
         if ram_bits == 0:
             raise ConfigurationError("no strikable storage in this system")
         self._sigma_bit_sat = RAM_AREA_CM2 * SENSITIVE_FRACTION / ram_bits  # state: config -- die geometry constant derived from target sizes
-        # Incremental-scheduling state (None until begin() is called).
-        self._params: "BeamParameters | None" = None
-        self._rng: "random.Random | None" = None
-        self._rate = 0.0  # state: wiring -- scheduling state, rebuilt by begin()
-        self._names: List[str] = []  # state: wiring -- scheduling state, rebuilt by begin()
-        self._weights: List[float] = []  # state: wiring -- scheduling state, rebuilt by begin()
-        self._mbu_p = 0.0  # state: wiring -- scheduling state, rebuilt by begin()
-        self._time_s = 0.0
 
     # -- cross-section queries ------------------------------------------------------
 
@@ -175,83 +166,39 @@ class HeavyIonBeam:
     def expected_upsets(self, params: BeamParameters) -> float:
         return params.fluence * self.device_cross_section(params.let)
 
-    def begin(self, params: BeamParameters) -> None:
-        """Arm the incremental scheduler: seed the RNG, precompute weights."""
-        self._params = params
-        self._rng = random.Random(params.seed)
-        self._rate = params.flux * self.device_cross_section(params.let)
-        self._names = list(self.injector.targets)
-        self._weights = [
-            self.injector.targets[name].bits * self.bit_cross_section(name).at(params.let)
-            for name in self._names
-        ]
-        self._mbu_p = self.mbu_fraction(params.let)
-        self._time_s = 0.0
-
-    def next_strike(self) -> "Strike | None":
-        """Draw the next strike, or None when the run's beam time is over.
-
-        The draw order per strike (arrival, target, bit, MBU) is part of the
-        recorded-results contract: changing it changes every seeded run.
-        """
-        if self._rng is None:
-            raise ConfigurationError("next_strike() before begin()")
-        if self._rate <= 0:
-            return None
-        rng = self._rng
-        self._time_s += rng.expovariate(self._rate)
-        if self._time_s >= self._params.duration_s:
-            return None
-        name = rng.choices(self._names, weights=self._weights, k=1)[0]
-        flat_bit = rng.randrange(self.injector.targets[name].bits)
-        mbu = name in self.MBU_ELIGIBLE and rng.random() < self._mbu_p
-        return Strike(self._time_s, name, flat_bit, mbu)
-
     def schedule(self, params: BeamParameters) -> List[Strike]:
         """Draw the full strike schedule for one beam run.
 
         Upset arrivals are Poisson with rate flux * sigma_device(LET); each
         strike picks a target weighted by its sigma-scaled bit count and a
-        uniform bit within it.
+        uniform bit within it.  The draw order per strike (arrival, target,
+        bit, MBU) is part of the recorded-results contract: changing it
+        changes every seeded run.
         """
-        self.begin(params)
+        rate = params.flux * self.device_cross_section(params.let)
+        if rate <= 0:
+            return []
+        rng = random.Random(params.seed)
+        names = list(self.injector.targets)
+        weights = [
+            self.injector.targets[name].bits * self.bit_cross_section(name).at(params.let)
+            for name in names
+        ]
+        mbu_p = self.mbu_fraction(params.let)
+        duration_s = params.duration_s
         strikes: List[Strike] = []
+        time_s = 0.0
         while True:
-            strike = self.next_strike()
-            if strike is None:
+            time_s += rng.expovariate(rate)
+            if time_s >= duration_s:
                 return strikes
-            strikes.append(strike)
-
-    # -- state capture --------------------------------------------------------------
-
-    def capture(self) -> dict:
-        """Scheduler state: beam parameters, elapsed beam time, RNG state."""
-        if self._params is None or self._rng is None:
-            raise StateError("cannot capture a beam before begin()")
-        params = self._params
-        return {
-            "let": params.let,
-            "flux": params.flux,
-            "fluence": params.fluence,
-            "seed": params.seed,
-            "time_s": self._time_s,
-            "rng": capture_rng(self._rng),
-        }
-
-    def restore(self, state: dict) -> None:
-        params = BeamParameters(let=state["let"], flux=state["flux"],
-                                fluence=state["fluence"], seed=state["seed"])
-        self.begin(params)
-        self._time_s = float(state["time_s"])
-        restore_rng(self._rng, state["rng"])
+            name = rng.choices(names, weights=weights, k=1)[0]
+            flat_bit = rng.randrange(self.injector.targets[name].bits)
+            mbu = name in self.MBU_ELIGIBLE and rng.random() < mbu_p
+            strikes.append(Strike(time_s, name, flat_bit, mbu))
 
     def apply(self, strike: Strike) -> None:
         """Land one strike (and its MBU companion, if any) on the device."""
         self.injector.inject(strike.target, strike.flat_bit)
         if strike.mbu and self.injector.targets[strike.target].bits_per_word:
             self.injector.inject_adjacent(strike.target, strike.flat_bit)
-
-    def iter_run(self, params: BeamParameters) -> Iterator[Strike]:
-        """Generator over the run's strikes in time order."""
-        for strike in self.schedule(params):
-            yield strike

@@ -22,8 +22,9 @@ JSON endpoints::
     GET  /api/campaigns/<c>/stats           folded trace statistics
     GET  /api/diff?a=<c>&b=<c>              run-for-run campaign diff
 
-``<c>`` is a campaign name or numeric id.  ``GET /`` serves the polling
-dashboard.  Submission payload::
+``<c>`` is a campaign name or, when no campaign has that exact name, a
+numeric id.  ``GET /`` serves the polling dashboard.  Submission
+payload::
 
     {"program": "iutest", "let": 110.0, "lets": [...], "flux": 400.0,
      "fluence": 2000.0, "seed": 1, "ips": 50000.0, "runs": 1,

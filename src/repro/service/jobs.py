@@ -32,7 +32,6 @@ from repro.fault.executor import (
     run_campaign,
     run_campaign_traced,
 )
-from repro.fault.results import config_key
 from repro.store.db import CampaignDatabase
 
 #: Job states a restarted queue picks back up.
@@ -177,25 +176,22 @@ class JobQueue:
             int(options.get("jobs", self.jobs)), runner=runner)
         warm = (prepare_warm_start(pending[0])
                 if options.get("warm_start") and pending else None)
-        # Runs keep their position within the job's config list, so trace
-        # run indices -- like the CLI's -- are jobs-invariant.
-        position_of = {config_key(config): position
-                       for position, config in enumerate(configs)}
-        pending_iter = iter(pending)
-        progress = [completed]
+        # Trace run indices continue the campaign's stored runs: pending
+        # run i is tagged ``stored + i``, so a job appending to a shared
+        # campaign never replaces another job's events.
+        stored = len(self.db.result_keys(campaign))
+        landed = [0]
 
         def on_results(batch: List) -> None:
             self.db.add_results(campaign, batch)
             if trace:
-                for result, config in zip(batch, pending_iter):
-                    self.db.add_run_events(
-                        campaign, position_of[config_key(config)],
-                        result.trace or [])
-            progress[0] += len(batch)
+                for run, result in enumerate(batch, stored + landed[0]):
+                    self.db.add_run_events(campaign, run, result.trace or [])
+            landed[0] += len(batch)
             with self._lock:
                 if job_id in self._cancel_requested:
                     raise JobCancelled(f"job {job_id} cancelled")
-            self.db.update_job(job_id, completed=progress[0])
+            self.db.update_job(job_id, completed=completed + landed[0])
 
         try:
             executor.run_many(pending, warm=warm, on_results=on_results)

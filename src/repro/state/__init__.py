@@ -5,8 +5,6 @@ from repro.state.snapshot import (
     FORMAT_VERSION,
     OBSERVATION_COMPONENTS,
     Snapshot,
-    capture_rng,
-    restore_rng,
     strip_diag,
 )
 
@@ -15,7 +13,5 @@ __all__ = [
     "FORMAT_VERSION",
     "OBSERVATION_COMPONENTS",
     "Snapshot",
-    "capture_rng",
-    "restore_rng",
     "strip_diag",
 ]

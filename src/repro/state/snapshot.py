@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import random
 import zlib
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 from repro.errors import StateError
 
@@ -131,20 +130,3 @@ class Snapshot:
             }
         blob = pickle.dumps((self.config_key, components), _PICKLE_PROTOCOL)
         return hashlib.sha256(blob).hexdigest()
-
-
-# -- RNG state helpers --------------------------------------------------------
-
-def capture_rng(rng: random.Random) -> Tuple:
-    """Canonical (picklable, comparable) form of a Random's state."""
-    version, internal, gauss = rng.getstate()
-    return (version, tuple(internal), gauss)
-
-
-def restore_rng(rng: random.Random, state: Tuple) -> None:
-    """Restore a Random from :func:`capture_rng` output."""
-    try:
-        version, internal, gauss = state
-        rng.setstate((version, tuple(internal), gauss))
-    except (TypeError, ValueError) as exc:
-        raise StateError(f"invalid RNG state: {exc}") from None

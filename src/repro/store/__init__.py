@@ -1,12 +1,12 @@
 """The storage + query layer: one corpus of runs, many readers.
 
-ROADMAP item 1 (DAVOS Datamanager/Reportbuilder mold): campaign results
-stop being throwaway per-invocation JSONL and become a shared, queryable
-corpus.  This package is the single path to that corpus:
+In the mold of the DAVOS Datamanager/Reportbuilder, campaign results
+are a shared, queryable corpus rather than throwaway per-invocation
+JSONL.  This package is the single path to that corpus:
 
 ``repro.store.db``
-    :class:`CampaignDatabase` -- the indexed SQLite schema (campaigns,
-    runs, upsets, events, jobs) with idempotent ingest from the JSONL
+    :class:`CampaignDatabase` -- the SQLite schema (campaigns, runs,
+    events, jobs) with idempotent ingest from the JSONL
     :class:`~repro.fault.results.ResultStore` format.
 
 ``repro.store.sources``

@@ -1,21 +1,20 @@
-"""The campaign database: an indexed SQLite schema over stored runs.
+"""The campaign database: one SQLite file of campaigns, runs and jobs.
 
 DAVOS keeps every injection campaign in one queryable datamanager store;
-this is the equivalent for the simulator.  The schema:
+this is the equivalent for the simulator.  The schema (v3):
 
 ``campaigns``
     One row per named corpus of runs -- a service job, an ingested JSONL
     file, or an ad-hoc insert.
 ``runs``
-    One row per campaign run, keyed ``(campaign_id, config_key)`` with
-    the full :func:`~repro.fault.results.result_to_dict` payload plus
-    indexed columns for the common filters (program, LET, seed ...).
-    Ingest is **idempotent**: re-inserting a run upserts the payload and
-    keeps the row's original position, so re-running an ingest -- or
-    resuming a crashed job -- never duplicates and never reorders.
-``upsets`` / ``readouts``
-    Per-run strike tallies by target and counter readouts by name,
-    unpacked for per-target/per-counter SQL without JSON parsing.
+    One row per campaign run, keyed ``(campaign_id, config_key)``: the
+    full :func:`~repro.fault.results.result_to_dict` payload, the run's
+    position in the campaign, and the two columns :meth:`campaigns`
+    sums (``upsets``, ``total_errors``).  Every other view decodes the
+    payload.  Ingest is **idempotent**: re-inserting a run upserts the
+    payload and keeps the row's original position, so re-running an
+    ingest -- or resuming a crashed job -- never duplicates and never
+    reorders.
 ``events``
     Telemetry trace events (the SEU lifecycles), ``(campaign, run, seq)``
     ordered, payloads verbatim -- folding them back through
@@ -28,8 +27,7 @@ this is the equivalent for the simulator.  The schema:
     stored.
 
 Results read back from the database are bit-for-bit the results that
-went in (the payload column is authoritative; the typed columns are an
-index, not a second copy of the truth).
+went in: the payload is the only copy of a run's record.
 """
 
 from __future__ import annotations
@@ -52,8 +50,22 @@ from repro.fault.results import (
 )
 
 #: Bump when the schema changes incompatibly.
-#: v2: runs.fault_model column (defaults 'seu' for rows written by v1).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+_RUNS = """
+CREATE TABLE IF NOT EXISTS runs (
+    id           INTEGER PRIMARY KEY,
+    campaign_id  INTEGER NOT NULL REFERENCES campaigns(id) ON DELETE CASCADE,
+    position     INTEGER NOT NULL,
+    config_key   TEXT NOT NULL,
+    upsets       INTEGER NOT NULL,
+    total_errors INTEGER NOT NULL,
+    payload      TEXT NOT NULL,
+    UNIQUE (campaign_id, config_key)
+);
+CREATE INDEX IF NOT EXISTS runs_by_position
+    ON runs (campaign_id, position);
+"""
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -66,48 +78,7 @@ CREATE TABLE IF NOT EXISTS campaigns (
     source     TEXT NOT NULL DEFAULT '',
     created_at REAL NOT NULL DEFAULT 0.0
 );
-CREATE TABLE IF NOT EXISTS runs (
-    id           INTEGER PRIMARY KEY,
-    campaign_id  INTEGER NOT NULL REFERENCES campaigns(id) ON DELETE CASCADE,
-    position     INTEGER NOT NULL,
-    config_key   TEXT NOT NULL,
-    program      TEXT NOT NULL,
-    let          REAL NOT NULL,
-    flux         REAL NOT NULL,
-    fluence      REAL NOT NULL,
-    seed         TEXT NOT NULL,  -- derived seeds exceed signed 64-bit
-    recovery     TEXT NOT NULL,
-    fault_model  TEXT NOT NULL DEFAULT 'seu',
-    upsets       INTEGER NOT NULL,
-    sw_errors    INTEGER NOT NULL,
-    error_traps  INTEGER NOT NULL,
-    halted       INTEGER NOT NULL,
-    iterations   INTEGER NOT NULL,
-    instructions INTEGER NOT NULL,
-    cycles       INTEGER NOT NULL,
-    halts        INTEGER NOT NULL,
-    unrecovered  INTEGER NOT NULL,
-    exit_reason  TEXT NOT NULL,
-    total_errors INTEGER NOT NULL,
-    payload      TEXT NOT NULL,
-    UNIQUE (campaign_id, config_key)
-);
-CREATE INDEX IF NOT EXISTS runs_by_position
-    ON runs (campaign_id, position);
-CREATE INDEX IF NOT EXISTS runs_by_let
-    ON runs (campaign_id, program, let);
-CREATE TABLE IF NOT EXISTS upsets (
-    run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-    target TEXT NOT NULL,
-    count  INTEGER NOT NULL,
-    PRIMARY KEY (run_id, target)
-);
-CREATE TABLE IF NOT EXISTS readouts (
-    run_id  INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-    counter TEXT NOT NULL,
-    count   INTEGER NOT NULL,
-    PRIMARY KEY (run_id, counter)
-);
+""" + _RUNS + """
 CREATE TABLE IF NOT EXISTS events (
     campaign_id INTEGER NOT NULL REFERENCES campaigns(id) ON DELETE CASCADE,
     run         INTEGER NOT NULL,
@@ -128,6 +99,27 @@ CREATE TABLE IF NOT EXISTS jobs (
     error        TEXT NOT NULL DEFAULT '',
     submitted_at REAL NOT NULL DEFAULT 0.0
 );
+"""
+
+#: v1/v2 -> v3 in one transaction.  v2 also held 16 typed result columns,
+#: the per-run ``upsets``/``readouts`` tables and the ``runs_by_let``
+#: index, none of which any view read; v1 lacks only ``runs.fault_model``,
+#: so both rebuild the same way.
+_MIGRATE = """
+BEGIN;
+DROP TABLE IF EXISTS upsets;
+DROP TABLE IF EXISTS readouts;
+DROP INDEX IF EXISTS runs_by_let;
+DROP INDEX IF EXISTS runs_by_position;
+ALTER TABLE runs RENAME TO runs_old;
+""" + _RUNS + f"""
+INSERT INTO runs (id, campaign_id, position, config_key, upsets,
+                  total_errors, payload)
+    SELECT id, campaign_id, position, config_key, upsets, total_errors,
+           payload FROM runs_old;
+DROP TABLE runs_old;
+UPDATE meta SET value = '{SCHEMA_VERSION}' WHERE key = 'schema_version';
+COMMIT;
 """
 
 
@@ -151,29 +143,32 @@ class CampaignDatabase:
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
-        with self._lock, self._conn:
-            self._conn.execute("PRAGMA foreign_keys = ON")
-            if path != ":memory:" and not path.startswith("file:"):
-                self._conn.execute("PRAGMA journal_mode = WAL")
-            self._conn.executescript(_SCHEMA)
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is None:
-                self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(SCHEMA_VERSION)))
-            else:
-                self._migrate(path, int(row["value"]))
+        try:
+            with self._lock, self._conn:
+                self._conn.execute("PRAGMA foreign_keys = ON")
+                if path != ":memory:" and not path.startswith("file:"):
+                    self._conn.execute("PRAGMA journal_mode = WAL")
+                self._conn.executescript(_SCHEMA)
+                row = self._conn.execute(
+                    "SELECT value FROM meta WHERE key = 'schema_version'"
+                ).fetchone()
+                if row is None:
+                    self._conn.execute(
+                        "INSERT INTO meta (key, value) VALUES (?, ?)",
+                        ("schema_version", str(SCHEMA_VERSION)))
+                else:
+                    self._migrate(path, int(row["value"]))
+        except BaseException:
+            self._conn.close()  # a refused or failed open owns no connection
+            raise
 
     def _migrate(self, path: str, version: int) -> None:
-        """Upgrade an older on-disk schema in place (caller holds lock).
+        """Upgrade a v1 or v2 file to v3 in place (caller holds lock).
 
-        v1 -> v2 adds ``runs.fault_model``; every pre-existing row was
-        written before the model layer and is a transient-SEU run, which
-        is exactly the column default.  Payloads are untouched, so
-        results read back bit-for-bit.  Newer-than-us schemas still
-        refuse to open.
+        One transaction rebuilds ``runs`` from the kept columns and drops
+        the rest, so a failure part-way leaves the old file as it was.
+        Payloads are copied verbatim, so results read back bit-for-bit.
+        Newer-than-us schemas refuse to open.
         """
         if version == SCHEMA_VERSION:
             return
@@ -181,21 +176,11 @@ class CampaignDatabase:
             raise ConfigurationError(
                 f"{path}: campaign database schema v{version} "
                 f"(this build reads v{SCHEMA_VERSION})")
-        if version == 1:
-            columns = {row["name"] for row in self._conn.execute(
-                "PRAGMA table_info(runs)").fetchall()}
-            if "fault_model" not in columns:
-                self._conn.execute(
-                    "ALTER TABLE runs ADD COLUMN fault_model "
-                    "TEXT NOT NULL DEFAULT 'seu'")
-            version = 2
-        if version != SCHEMA_VERSION:
+        if version not in (1, 2):
             raise ConfigurationError(
                 f"{path}: no migration path from campaign database "
                 f"schema v{version} to v{SCHEMA_VERSION}")
-        self._conn.execute(
-            "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-            (str(SCHEMA_VERSION),))
+        self._conn.executescript(_MIGRATE)
 
     def close(self) -> None:
         with self._lock:
@@ -222,16 +207,22 @@ class CampaignDatabase:
             return int(cursor.lastrowid)
 
     def campaign_id(self, name_or_id) -> int:
-        """Resolve a campaign by numeric id or name."""
+        """Resolve a campaign by exact name, else by numeric id.
+
+        The name wins: ``repro ingest 1.jsonl`` names its campaign ``1``,
+        whatever campaign holds id 1.  An ``int`` is always an id.
+        """
+        label = str(name_or_id)
         with self._lock:
-            if isinstance(name_or_id, int) or str(name_or_id).isdigit():
-                row = self._conn.execute(
-                    "SELECT id FROM campaigns WHERE id = ?",
-                    (int(name_or_id),)).fetchone()
-            else:
+            row = None
+            if not isinstance(name_or_id, int):
                 row = self._conn.execute(
                     "SELECT id FROM campaigns WHERE name = ?",
-                    (str(name_or_id),)).fetchone()
+                    (label,)).fetchone()
+            if row is None and label.isdecimal():
+                row = self._conn.execute(
+                    "SELECT id FROM campaigns WHERE id = ?",
+                    (int(label),)).fetchone()
         if row is None:
             raise ConfigurationError(f"unknown campaign {name_or_id!r}")
         return int(row["id"])
@@ -258,70 +249,22 @@ class CampaignDatabase:
         replaces its payload but keeps its original position, so ingest
         retries and job resumes leave the corpus unchanged.
         """
-        written = 0
         with self._lock, self._conn:
-            row = self._conn.execute(
-                "SELECT COALESCE(MAX(position), -1) AS top FROM runs "
-                "WHERE campaign_id = ?", (campaign,)).fetchone()
-            position = int(row["top"]) + 1
-            for result in results:
-                payload = result_to_dict(result)
-                key = config_key(result.config)
-                config = result.config
-                self._conn.execute(
-                    "INSERT INTO runs (campaign_id, position, config_key, "
-                    " program, let, flux, fluence, seed, recovery, "
-                    " fault_model, upsets, "
-                    " sw_errors, error_traps, halted, iterations, "
-                    " instructions, cycles, halts, unrecovered, exit_reason, "
-                    " total_errors, payload) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
-                    "        ?, ?, ?, ?, ?, ?, ?) "
-                    "ON CONFLICT (campaign_id, config_key) DO UPDATE SET "
-                    " program = excluded.program, let = excluded.let, "
-                    " flux = excluded.flux, fluence = excluded.fluence, "
-                    " seed = excluded.seed, recovery = excluded.recovery, "
-                    " fault_model = excluded.fault_model, "
-                    " upsets = excluded.upsets, "
-                    " sw_errors = excluded.sw_errors, "
-                    " error_traps = excluded.error_traps, "
-                    " halted = excluded.halted, "
-                    " iterations = excluded.iterations, "
-                    " instructions = excluded.instructions, "
-                    " cycles = excluded.cycles, halts = excluded.halts, "
-                    " unrecovered = excluded.unrecovered, "
-                    " exit_reason = excluded.exit_reason, "
-                    " total_errors = excluded.total_errors, "
-                    " payload = excluded.payload",
-                    (campaign, position, key, config.program, config.let,
-                     config.flux, config.fluence, str(config.seed),
-                     config.recovery, config.fault_model,
-                     result.upsets, result.sw_errors,
-                     result.error_traps, int(result.halted),
-                     result.iterations, result.instructions, result.cycles,
-                     result.halts, int(result.unrecovered),
-                     result.exit_reason, result.counts.get("Total", 0),
-                     json.dumps(payload, sort_keys=True)))
-                run_id = int(self._conn.execute(
-                    "SELECT id FROM runs WHERE campaign_id = ? "
-                    "AND config_key = ?", (campaign, key)).fetchone()["id"])
-                self._conn.execute(
-                    "DELETE FROM upsets WHERE run_id = ?", (run_id,))
-                self._conn.execute(
-                    "DELETE FROM readouts WHERE run_id = ?", (run_id,))
-                self._conn.executemany(
-                    "INSERT INTO upsets (run_id, target, count) "
-                    "VALUES (?, ?, ?)",
-                    [(run_id, target, count) for target, count
-                     in sorted(result.upsets_by_target.items())])
-                self._conn.executemany(
-                    "INSERT INTO readouts (run_id, counter, count) "
-                    "VALUES (?, ?, ?)",
-                    [(run_id, counter, count) for counter, count
-                     in sorted(result.counts.items())])
-                position += 1
-                written += 1
-        return written
+            top = self._conn.execute(
+                "SELECT COALESCE(MAX(position), -1) FROM runs "
+                "WHERE campaign_id = ?", (campaign,)).fetchone()[0]
+            rows = [(campaign, top + 1 + index, config_key(result.config),
+                     result.upsets, result.counts.get("Total", 0),
+                     json.dumps(result_to_dict(result), sort_keys=True))
+                    for index, result in enumerate(results)]
+            self._conn.executemany(
+                "INSERT INTO runs (campaign_id, position, config_key, "
+                " upsets, total_errors, payload) VALUES (?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT (campaign_id, config_key) DO UPDATE SET "
+                " upsets = excluded.upsets, "
+                " total_errors = excluded.total_errors, "
+                " payload = excluded.payload", rows)
+        return len(rows)
 
     def results(self, campaign: int) -> List[CampaignResult]:
         """Every stored result of the campaign, in insertion order.

@@ -1,7 +1,15 @@
 """The command-line interface."""
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -118,6 +126,22 @@ def test_availability_measured_empty_store(tmp_path, capsys):
     assert "no results" in capsys.readouterr().err
 
 
+def test_availability_rejects_bad_clock(tmp_path, capsys):
+    from repro.fault.campaign import CampaignConfig, CampaignResult
+    from repro.fault.results import ResultStore
+
+    log = str(tmp_path / "meas.jsonl")
+    with ResultStore(log) as store:
+        store.append([CampaignResult(
+            config=CampaignConfig(program="iutest", seed=3),
+            counts={"Total": 0}, upsets=0, upsets_by_target={},
+            sw_errors=0, error_traps=0, halted=False, iterations=1,
+            instructions=1_000, wall_seconds=0.0)])
+    assert main(["availability", "--measured", log,
+                 "--clock-hz", "0"]) == 2
+    assert "--clock-hz" in capsys.readouterr().err
+
+
 def test_campaign_reports_elapsed_wall_throughput(capsys):
     """The throughput line must use batch-elapsed wall time (parallel
     runs overlap; summing per-run times understates by ~--jobs x), and
@@ -175,6 +199,64 @@ def test_campaign_resume_reuses_zero_upset_run(tmp_path, capsys):
     assert "resume: 1 of 1" in out
     assert "upsets: 0" in out
     assert len(open(log).readlines()) == 1  # nothing re-ran
+
+
+def test_resumed_trace_continues_run_indices(tmp_path, capsys):
+    """Each run's trace index is its place in the config list, so a
+    resumed campaign's trace does not restart at run 0."""
+    from repro.telemetry import read_trace
+
+    log, trace = str(tmp_path / "runs.jsonl"), str(tmp_path / "trace.jsonl")
+    base = ["campaign", "--program", "iutest", "--let", "110",
+            "--fluence", "600", "--ips", "20000", "--trace", trace]
+    main(base + ["--runs", "2", "--results", log])
+    main(base + ["--runs", "4", "--resume", log])
+    assert "resume: 2 of 4" in capsys.readouterr().out
+    starts = [event["run"] for event in read_trace(trace)
+              if event["ev"] == "run-start"]
+    assert starts == [0, 1, 2, 3]
+
+
+def _table2(out: str) -> list:
+    """The Table-2 block of a ``campaign`` printout."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("TEST"))
+    return lines[start:lines.index("", start)]
+
+
+def test_killed_campaign_resumes(tmp_path, capsys):
+    """SIGKILL ``campaign --results`` mid-run, then ``--resume`` it: the log
+    holds every run once and Table 2 matches an uninterrupted campaign."""
+    from repro.fault.results import config_key
+    from repro.store import load_results
+
+    log = tmp_path / "runs.jsonl"
+    # About 0.3 s per run, so the kill lands with runs still to go.
+    base = ["campaign", "--program", "iutest", "--let", "110",
+            "--fluence", "2500", "--ips", "20000", "--runs", "6"]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", *base, "--results", str(log)],
+        env=env, stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not log.exists() or log.read_text().count("\n") < 2:
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signal.SIGKILL)
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+    assert child.returncode == -signal.SIGKILL
+
+    assert main(base + ["--resume", str(log)]) == 0
+    resumed = capsys.readouterr().out
+    stored = int(re.search(r"resume: (\d+) of 6", resumed).group(1))
+    assert 2 <= stored < 6
+    assert len({config_key(r.config) for r in load_results(str(log))}) == 6
+    assert main(base) == 0
+    assert _table2(resumed) == _table2(capsys.readouterr().out)
 
 
 def test_campaign_warm_start_results_and_resume(tmp_path, capsys):

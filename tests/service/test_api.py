@@ -214,6 +214,16 @@ def test_error_mapping(server):
     assert err.value.code == 400
 
 
+@pytest.mark.parametrize("clock", ["0", "nan", "-5"])
+def test_availability_rejects_bad_clock(server, clock):
+    server.db.ensure_campaign("clock-check")
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _call(server,
+              f"/api/campaigns/clock-check/availability?clock_hz={clock}")
+    assert err.value.code == 400
+    assert "clock_hz" in json.loads(err.value.read())["error"]
+
+
 # -- input bounds and connection handling --------------------------------------
 
 

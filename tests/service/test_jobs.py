@@ -141,6 +141,19 @@ def test_trace_option_stores_run_events(db, queue):
     assert any(event["ev"] == "run-end" for event in events)
 
 
+def test_traced_jobs_sharing_a_campaign_keep_every_trace(db, queue):
+    """A second traced job under the same name tags its runs after the
+    first job's, so neither job's events replace the other's."""
+    for seed in (11, 30):
+        job_id = queue.submit(expand_runs(_tiny(seed=seed), 2),
+                              name="shared", options={"trace": True})
+        assert queue.wait(job_id, timeout_s=120)["state"] == "done"
+    campaign = db.campaign_id("shared")
+    assert len(db.results(campaign)) == 4
+    assert [event["run"] for event in db.events(campaign)
+            if event["ev"] == "run-end"] == [0, 1, 2, 3]
+
+
 def test_submit_rejects_empty(queue):
     with pytest.raises(ValueError):
         queue.submit([])

@@ -1,59 +1,8 @@
-"""Mid-schedule beam/injector state capture: the warm-start RNG contract."""
-
-import pytest
+"""Injector state capture: the strike log round-trips."""
 
 from repro.core.config import LeonConfig
 from repro.core.system import LeonSystem
-from repro.errors import ConfigurationError, StateError
-from repro.fault.beam import BeamParameters, HeavyIonBeam
 from repro.fault.injector import FaultInjector
-
-PARAMS = BeamParameters(let=60.0, flux=400.0, fluence=2_000.0, seed=5)
-
-
-def _beam() -> HeavyIonBeam:
-    system = LeonSystem(LeonConfig.leon_express())
-    return HeavyIonBeam(FaultInjector(system))
-
-
-def _drain(beam: HeavyIonBeam) -> list:
-    strikes = []
-    while True:
-        strike = beam.next_strike()
-        if strike is None:
-            return strikes
-        strikes.append(strike)
-
-
-def test_incremental_draws_match_schedule():
-    expected = _beam().schedule(PARAMS)
-    assert expected  # the setting produces strikes at all
-    beam = _beam()
-    beam.begin(PARAMS)
-    assert _drain(beam) == expected
-
-
-def test_mid_schedule_capture_resumes_identically():
-    beam = _beam()
-    beam.begin(PARAMS)
-    head = [beam.next_strike() for _ in range(3)]
-    assert all(strike is not None for strike in head)
-    state = beam.capture()
-    rest = _drain(beam)
-
-    other = _beam()
-    other.restore(state)
-    assert _drain(other) == rest
-
-
-def test_capture_before_begin_rejected():
-    with pytest.raises(StateError):
-        _beam().capture()
-
-
-def test_next_strike_before_begin_rejected():
-    with pytest.raises(ConfigurationError):
-        _beam().next_strike()
 
 
 def test_injector_log_round_trip():

@@ -1,6 +1,4 @@
-"""The Snapshot container: serialization, digests, RNG capture."""
-
-import random
+"""The Snapshot container: serialization and digests."""
 
 import pytest
 
@@ -8,8 +6,6 @@ from repro.errors import StateError
 from repro.state.snapshot import (
     FORMAT_VERSION,
     Snapshot,
-    capture_rng,
-    restore_rng,
     strip_diag,
 )
 
@@ -73,27 +69,3 @@ def test_architectural_digest_sees_architectural_changes():
 def test_strip_diag_recurses_containers():
     value = {"a": {"diag": 1, "keep": [{"diag": 2, "x": 3}]}, "diag": 4}
     assert strip_diag(value) == {"a": {"keep": [{"x": 3}]}}
-
-
-# -- RNG capture ---------------------------------------------------------------
-
-
-def test_rng_round_trip_continues_identically():
-    rng = random.Random(7)
-    rng.random()
-    state = capture_rng(rng)
-    expected = [rng.random() for _ in range(10)]
-    other = random.Random(99)
-    restore_rng(other, state)
-    assert [other.random() for _ in range(10)] == expected
-
-
-def test_rng_state_is_picklable_plain_data():
-    version, internal, gauss = capture_rng(random.Random(1))
-    assert isinstance(internal, tuple)
-    assert all(isinstance(word, int) for word in internal)
-
-
-def test_rng_restore_rejects_garbage():
-    with pytest.raises(StateError):
-        restore_rng(random.Random(), ("bogus",))
