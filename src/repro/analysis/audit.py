@@ -15,7 +15,10 @@ few thousand instructions, and checks the invariants *live*:
     ``snapshot() -> to_bytes() -> from_bytes() -> restore()`` into a
     fresh system reproduces the state bit-for-bit, serialization is
     byte-stable, and the restored copy's *future* (architectural digest
-    after further execution) matches the original's.
+    after further execution) matches the original's.  The per-component
+    grading digests must agree too, at both points: the memory digest
+    reads the live planes rather than ``capture()``, so this is what
+    keeps it from covering state a snapshot does not carry.
 
 ``injector-coverage``
     Every atomic storage object reachable from the system (anything
@@ -134,6 +137,7 @@ def check_snapshot_roundtrip(model: ProjectModel) -> List[str]:
     if clone.state_digest() != system.state_digest():
         failures.append("restored system's architectural digest differs "
                         "from the original's")
+    failures.extend(_component_drift(system, clone, "after the restore"))
 
     system.run(FUTURE_INSTRUCTIONS, stop_pc=spin)
     clone.run(FUTURE_INSTRUCTIONS, stop_pc=clone_spin)
@@ -142,7 +146,23 @@ def check_snapshot_roundtrip(model: ProjectModel) -> List[str]:
             f"restored system diverges from the original within "
             f"{FUTURE_INSTRUCTIONS} instructions: snapshot state is "
             f"incomplete (some execution-relevant state escaped capture)")
+    failures.extend(_component_drift(
+        system, clone, f"{FUTURE_INSTRUCTIONS} instructions later"))
     return failures
+
+
+def _component_drift(system, clone, when: str) -> List[str]:
+    """Components whose grading digests differ between *system* and its
+    restored *clone*."""
+    from repro.core.system import DIGEST_ORDER
+
+    return [f"restored system's {name!r} grading digest differs from "
+            f"the original's {when}: the digest reads state that "
+            f"capture() does not cover"
+            for name, mine, theirs in zip(DIGEST_ORDER,
+                                          system.component_digests(),
+                                          clone.component_digests())
+            if mine != theirs]
 
 
 def _target_anchors(inject: Callable) -> Iterator[Any]:

@@ -29,12 +29,15 @@ result-producing path consults ambient nondeterminism.
 
 ``det-digest-diag`` (FT205)
     Flags state digests that include diag/counter state.  Golden-timeline
-    grading compares *architectural* digests: observation-only counters
-    remember that a strike happened long after the architectural state
-    has reconverged, so a digest computed over raw ``capture()`` payloads
-    (without :func:`repro.state.snapshot.strip_diag`) or via
+    grading compares *architectural* digests, one component at a time
+    (:func:`repro.state.snapshot.component_digest`): observation-only
+    counters remember that a strike happened long after the architectural
+    state has reconverged, so a digest computed over raw ``capture()``
+    payloads (without :func:`repro.state.snapshot.strip_diag`) or via
     ``digest(architectural=False)`` would never match the golden run's
-    and silently disable every early exit.
+    and silently disable every early exit.  Buffers hashed beside a
+    payload (the memory planes) carry no diag state; the audit's
+    ``snapshot-roundtrip`` check keeps them to what ``capture()`` covers.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ database idempotently.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -112,12 +113,36 @@ _CONFIGS = {
 }
 
 
-def _let_list(text: str):
+def _finite(text: str) -> float:
     try:
-        return tuple(float(part) for part in text.split(","))
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}")
+            f"expected a number, got {text!r}") from None
+    # float() accepts "nan" and "inf"; a NaN compares false against every
+    # bound, so finiteness is checked first (as for HTTP job requests).
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must not be negative, got {text!r}")
+    return value
+
+
+def _let_list(text: str):
+    return tuple(_non_negative(part) for part in text.split(","))
 
 
 def _add_config_argument(parser: argparse.ArgumentParser) -> None:
@@ -150,20 +175,20 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="fault model injected by the campaign "
                                "(default: seu, the transient bit-flip "
                                "beam)")
-    campaign.add_argument("--let", type=float, default=110.0)
-    campaign.add_argument("--flux", type=float, default=400.0)
-    campaign.add_argument("--fluence", type=float, default=2.0e3)
+    campaign.add_argument("--let", type=_non_negative, default=110.0)
+    campaign.add_argument("--flux", type=_positive, default=400.0)
+    campaign.add_argument("--fluence", type=_non_negative, default=2.0e3)
     campaign.add_argument("--seed", type=int, default=1)
-    campaign.add_argument("--ips", type=float, default=50_000.0,
+    campaign.add_argument("--ips", type=_positive, default=50_000.0,
                           help="virtual device instructions per beam second")
     campaign.add_argument("--runs", type=int, default=1,
                           help="independent replicas (derived seeds)")
     campaign.add_argument("--jobs", type=int, default=1,
                           help="worker processes (default: serial)")
-    campaign.add_argument("--beam-delay", type=float, default=0.0,
+    campaign.add_argument("--beam-delay", type=_non_negative, default=0.0,
                           help="fault-free warm-up before the beam opens "
                                "(beam seconds)")
-    campaign.add_argument("--beam-tail", type=float, default=0.0,
+    campaign.add_argument("--beam-tail", type=_non_negative, default=0.0,
                           help="strike-free stretch after the beam closes "
                                "(beam seconds)")
     campaign.add_argument("--warm-start", action="store_true",
@@ -226,9 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="independent replicas (derived seeds sweep "
                              "the window; default: 8)")
     attack.add_argument("--seed", type=int, default=1)
-    attack.add_argument("--fluence", type=float, default=2.0e3)
-    attack.add_argument("--flux", type=float, default=400.0)
-    attack.add_argument("--ips", type=float, default=50_000.0,
+    attack.add_argument("--fluence", type=_non_negative, default=2.0e3)
+    attack.add_argument("--flux", type=_positive, default=400.0)
+    attack.add_argument("--ips", type=_positive, default=50_000.0,
                         help="virtual device instructions per beam second")
     attack.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default: serial)")
@@ -263,17 +288,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lets", type=_let_list, default=None,
                        help="comma-separated LET points "
                             "(default: the paper's 6..110 ladder)")
-    sweep.add_argument("--flux", type=float, default=400.0)
-    sweep.add_argument("--fluence", type=float, default=2.0e3)
+    sweep.add_argument("--flux", type=_positive, default=400.0)
+    sweep.add_argument("--fluence", type=_non_negative, default=2.0e3)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--ips", type=float, default=50_000.0,
+    sweep.add_argument("--ips", type=_positive, default=50_000.0,
                        help="virtual device instructions per beam second")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default: serial)")
-    sweep.add_argument("--beam-delay", type=float, default=0.0,
+    sweep.add_argument("--beam-delay", type=_non_negative, default=0.0,
                        help="fault-free warm-up before the beam opens "
                             "(beam seconds)")
-    sweep.add_argument("--beam-tail", type=float, default=0.0,
+    sweep.add_argument("--beam-tail", type=_non_negative, default=0.0,
                        help="strike-free stretch after the beam closes "
                             "(beam seconds)")
     sweep.add_argument("--warm-start", action="store_true",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.amba.ahb import AhbBus, TransferSize
 from repro.amba.apb import ApbBridge
@@ -41,11 +41,21 @@ from repro.peripherals.sysregs import SystemRegisters
 from repro.peripherals.timer import TimerUnit
 from repro.peripherals.uart import Uart
 from repro.sparc.asm import Program
-from repro.state.snapshot import Snapshot
+from repro.state.snapshot import Snapshot, component_digest
 from repro.telemetry.bus import NULL_TELEMETRY, Telemetry
 
 #: Base address of the APB bridge (LEON-2 register map).
 APB_BASE = 0x80000000
+
+#: The architectural digests of :meth:`LeonSystem.component_digests`, in
+#: the order convergence checks compute them.  Cheap state that a struck
+#: run is likely to differ in comes first; the ~7.9 MB of external memory
+#: comes last, so a check that fails early never hashes it.
+#: ``"peripherals"`` covers the timers, both UARTs, the I/O port, the DMA
+#: engine and the system registers; the counter components
+#: (:data:`~repro.state.snapshot.OBSERVATION_COMPONENTS`) have no digest.
+DIGEST_ORDER = ("system", "regfile", "fpu", "iu", "ffbank", "peripherals",
+                "bus", "icache", "dcache", "memory")
 
 
 @dataclass
@@ -264,6 +274,44 @@ class LeonSystem:
         error/performance counters may differ (see :mod:`repro.state`).
         """
         return self.snapshot().digest(architectural=True)
+
+    def component_digests(self) -> Tuple[bytes, ...]:
+        """Per-component architectural digests, in :data:`DIGEST_ORDER`.
+
+        Together they cover what :meth:`state_digest` covers, so equal
+        tuples mean equal architectural state, as equal state digests do.
+        """
+        return tuple(self._component_digests())
+
+    def matches_digests(self, golden: Sequence[bytes]) -> bool:
+        """Whether this state's :meth:`component_digests` equal *golden*.
+
+        Fails fast: components are hashed in :data:`DIGEST_ORDER` and the
+        check stops at the first one that differs, so a run whose
+        register file differs never hashes the caches or memory.
+        """
+        return all(digest == expected for digest, expected
+                   in zip(self._component_digests(), golden, strict=True))
+
+    def _component_digests(self) -> Iterator[bytes]:
+        """Yield the :data:`DIGEST_ORDER` digests one at a time."""
+        yield component_digest({"ffbank_dirty": self._ffbank_dirty})
+        yield component_digest(self.regfile.capture())
+        yield component_digest(
+            self.fpu.capture() if self.fpu is not None else None)
+        yield component_digest(self.iu.capture())
+        yield component_digest(self.ffbank.capture())
+        yield component_digest([
+            peripheral.capture() for peripheral in (
+                self.timers, self.uart1, self.uart2, self.ioport,
+                self.dma, self.sysregs)])
+        yield component_digest(self.bus.capture())
+        yield component_digest(self.icache.capture())
+        yield component_digest(self.dcache.capture())
+        # The planes are hashed in place: capture() would copy them.
+        memctrl = self.memctrl
+        yield component_digest(memctrl.write_protector.capture(),
+                               memctrl.planes())
 
     # -- program loading -------------------------------------------------------------
 

@@ -749,17 +749,19 @@ class Campaign:
         """Walk the golden checkpoint boundaries grading the run.
 
         Called once every scheduled strike has been applied.  Returns the
-        first boundary whose architectural digest the faulted run matches
+        first boundary whose architectural digests the faulted run matches
         (reconverged), or None when the run mismatches through the last
         boundary, fails, or recovers mid-walk (recovered runs carry
-        harvested tallies the golden readouts do not).
+        harvested tallies the golden readouts do not).  Each check stops
+        at the first component that differs, so a mismatch rarely hashes
+        external memory.
         """
         for checkpoint in timeline.checkpoints:
             if checkpoint.instruction < state["executed"]:
                 continue
             if not advance(checkpoint.instruction) or recovered():
                 return None
-            if system.state_digest() == checkpoint.digest:
+            if system.matches_digests(checkpoint.digests):
                 return checkpoint
         return None
 
@@ -828,7 +830,7 @@ def prepare_warm_start(config: CampaignConfig, *,
 
     Runs the fault-free prefix (``beam_delay_s``), snapshots the device,
     then continues the *golden* (strike-free) run through the beam window
-    and tail, recording an architectural digest at every
+    and tail, recording the per-component architectural digests at every
     :func:`~repro.fault.grading.checkpoint_schedule` boundary and the
     final host readouts.  The result is picklable and serves every run
     whose config shares :func:`warm_start_key` -- a whole LET sweep,
@@ -862,7 +864,7 @@ def prepare_warm_start(config: CampaignConfig, *,
             # identical (parked) future.
             break
         marks.append(GoldenCheckpoint(instruction=boundary,
-                                      digest=system.state_digest(),
+                                      digests=system.component_digests(),
                                       cycles=system.perf.cycles))
     if any(mark.instruction == window_close for mark in marks):
         timeline = GoldenTimeline(

@@ -150,6 +150,12 @@ class MemoryController:
             "writeprotect": self.write_protector.capture(),
         }
 
+    def planes(self) -> tuple:
+        """Every live storage plane, in :meth:`capture` order (see
+        :meth:`ExternalMemory.planes`)."""
+        return (*self.prom_memory.planes(), *self.sram_memory.planes(),
+                *self.io_memory.planes())
+
     def restore(self, state: dict) -> None:
         self.prom_memory.restore(state["prom"])
         self.sram_memory.restore(state["sram"])

@@ -86,6 +86,11 @@ class ExternalMemory:
             "check": self._check.tobytes(),
         }
 
+    def planes(self) -> tuple:
+        """The live stored planes (data words, check bits), not copies:
+        for hashing in place, never for mutation."""
+        return self._words, self._check
+
     def restore(self, state: dict) -> None:
         words = np.frombuffer(state["words"], dtype=np.uint32)
         check = np.frombuffer(state["check"], dtype=np.uint8)

@@ -13,8 +13,8 @@ across the HTTP boundary.
 Lifecycle: ``queued -> running -> done | failed | cancelled``.  Jobs are
 persisted before they are scheduled, so a queue restarted over the same
 database re-enqueues whatever was queued or mid-flight (completed runs
-are skipped via :meth:`CampaignDatabase.split_pending` -- the same
-resume primitive the CLI's ``--resume`` uses).
+are skipped by their stored ``config_key``, the run identity the CLI's
+``--resume`` matches on too).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.fault.executor import (
     run_campaign,
     run_campaign_traced,
 )
+from repro.fault.results import config_key
 from repro.store.db import CampaignDatabase
 
 #: Job states a restarted queue picks back up.
@@ -163,7 +164,11 @@ class JobQueue:
             # the submitted one.
             configs = [replace(config, early_exit=False)
                        for config in configs]
-        done, pending = self.db.split_pending(campaign, configs)
+        # Resume by the stored config keys: the stored results themselves
+        # are not needed, and decoding every payload costs far more.
+        known = set(self.db.result_keys(campaign))
+        pending = [config for config in configs
+                   if config_key(config) not in known]
         completed = len(configs) - len(pending)
         self.db.update_job(job_id, state="running", completed=completed)
         if not pending:
@@ -179,7 +184,7 @@ class JobQueue:
         # Trace run indices continue the campaign's stored runs: pending
         # run i is tagged ``stored + i``, so a job appending to a shared
         # campaign never replaces another job's events.
-        stored = len(self.db.result_keys(campaign))
+        stored = len(known)
         landed = [0]
 
         def on_results(batch: List) -> None:
@@ -201,6 +206,6 @@ class JobQueue:
         except CampaignExecutionError as exc:
             self.db.update_job(job_id, state="failed", error=str(exc))
             return
-        _, still_pending = self.db.split_pending(campaign, configs)
-        self.db.update_job(job_id, state="done",
-                           completed=len(configs) - len(still_pending))
+        known = set(self.db.result_keys(campaign))
+        self.db.update_job(job_id, state="done", completed=sum(
+            1 for config in configs if config_key(config) in known))

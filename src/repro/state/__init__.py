@@ -5,6 +5,7 @@ from repro.state.snapshot import (
     FORMAT_VERSION,
     OBSERVATION_COMPONENTS,
     Snapshot,
+    component_digest,
     strip_diag,
 )
 
@@ -13,5 +14,6 @@ __all__ = [
     "FORMAT_VERSION",
     "OBSERVATION_COMPONENTS",
     "Snapshot",
+    "component_digest",
     "strip_diag",
 ]

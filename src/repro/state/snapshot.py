@@ -24,9 +24,12 @@ Pure observation state (error counters, performance counters, voter
 disagreement counts, write-protect violation tallies...) never feeds back
 into execution, but it does *remember* that a strike happened -- an effaced
 run has the same architectural future as golden while its counters differ.
-The digest used for convergence checks therefore excludes the counter
+The digests used for convergence checks therefore exclude the counter
 components and every ``"diag"``-keyed subtree; ``capture()`` methods file
 observation-only values under a ``"diag"`` key for exactly this reason.
+:meth:`Snapshot.digest` hashes a whole snapshot; :func:`component_digest`
+hashes one component, so a check can stop at the first component that
+differs.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import zlib
-from typing import Any, Dict
+from typing import Any, Dict, Sequence
 
 from repro.errors import StateError
 
@@ -49,17 +52,46 @@ OBSERVATION_COMPONENTS = ("errors", "perf")
 
 _PICKLE_PROTOCOL = 4  # stable across supported interpreters
 
+#: Leaf types that hold no dict, so a sequence of only these has nothing
+#: to strip (the cache RAMs' and register file's word tuples).
+_SCALAR_TYPES = frozenset((int, bool, float, str, bytes, type(None)))
+
 
 def strip_diag(value: Any) -> Any:
-    """Recursively drop every ``"diag"`` key from nested dicts."""
+    """Recursively drop every ``"diag"`` key from nested dicts.
+
+    Every dict, list and tuple comes back as a fresh plain one, so the
+    result pickles the same whatever containers the payload shared.  A
+    sequence of scalars holds no dict: it is copied at C speed instead of
+    being walked element by element.
+    """
     if isinstance(value, dict):
         return {key: strip_diag(item) for key, item in value.items()
                 if key != DIAG_KEY}
-    if isinstance(value, list):
-        return [strip_diag(item) for item in value]
-    if isinstance(value, tuple):
-        return tuple(strip_diag(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        if _SCALAR_TYPES.issuperset(map(type, value)):
+            items = list(value)
+        else:
+            items = [strip_diag(item) for item in value]
+        return items if isinstance(value, list) else tuple(items)
     return value
+
+
+def component_digest(payload: Any, buffers: Sequence[Any] = ()) -> bytes:
+    """SHA-256 of one component's architectural state, as raw bytes.
+
+    *payload* is a ``capture()`` value; its ``"diag"`` subtrees are
+    stripped as in :meth:`Snapshot.digest`.  *buffers* are contiguous
+    arrays hashed in place after it: the external-memory planes, which
+    ``capture()`` would copy with ``tobytes()`` and pickle would copy
+    again.  Convergence checks compare these one component at a time
+    (:meth:`repro.core.system.LeonSystem.matches_digests`).
+    """
+    hasher = hashlib.sha256(
+        pickle.dumps(strip_diag(payload), _PICKLE_PROTOCOL))
+    for buffer in buffers:
+        hasher.update(buffer)
+    return hasher.digest()
 
 
 class Snapshot:

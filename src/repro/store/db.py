@@ -293,8 +293,10 @@ class CampaignDatabase:
         """Partition configs into (already-stored results, still-to-run).
 
         The database analogue of
-        :meth:`repro.fault.results.ResultStore.split_pending` -- the
-        resume primitive of both ``repro ingest`` and the job scheduler.
+        :meth:`repro.fault.results.ResultStore.split_pending`.  It decodes
+        every stored payload; a caller that only needs to know which runs
+        are stored should match :meth:`result_keys` instead, as the job
+        scheduler does.
         """
         stored = {config_key(result.config): result
                   for result in self.results(campaign)}

@@ -66,3 +66,20 @@ def test_audit_catches_a_missing_injector_target(monkeypatch):
     monkeypatch.setattr(FaultInjector, "_build_targets", drop_io)
     failures = check_injector_coverage(None)
     assert any("ExternalMemory" in failure for failure in failures)
+
+
+def test_audit_catches_a_grading_digest_reading_uncaptured_state(
+        monkeypatch):
+    """The memory grading digest hashes the live planes, not capture():
+    state it reads beyond what a snapshot carries must fail the audit."""
+    import numpy as np
+
+    from repro.analysis.audit import check_snapshot_roundtrip
+    from repro.mem.memctrl import MemoryController
+
+    planes = MemoryController.planes
+    monkeypatch.setattr(
+        MemoryController, "planes",
+        lambda self: (*planes(self), np.array([id(self)], dtype=np.uint64)))
+    failures = check_snapshot_roundtrip(None)
+    assert any("'memory' grading digest" in failure for failure in failures)

@@ -84,6 +84,41 @@ def test_campaign_recovery_prints_summary(capsys):
     assert "MTTR" in out and "availability" in out
 
 
+#: Small, valid beam numbers; each case below overrides one of them (the
+#: last occurrence of an option wins).
+_SMALL_BEAM = ["--fluence", "100", "--ips", "2000"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--let", "60", "--flux", "nan"],
+    ["campaign", "--flux", "inf"],
+    ["campaign", "--flux", "0"],
+    ["campaign", "--ips", "0"],
+    ["campaign", "--let", "-1"],
+    ["campaign", "--fluence", "-5"],
+    ["campaign", "--beam-delay", "nan"],
+    ["campaign", "--beam-tail", "-0.5"],
+    ["sweep", "--lets", "15,nan"],
+    ["sweep", "--lets", "15,-40"],
+    ["sweep", "--flux", "-400"],
+    ["sweep", "--ips", "inf"],
+    ["sweep", "--beam-delay", "-1"],
+    ["attack", "--skip-at", "iutest_iteration", "--flux", "nan"],
+    ["attack", "--skip-at", "iutest_iteration", "--ips", "0"],
+    ["attack", "--skip-at", "iutest_iteration", "--flux", "inf"],
+    ["attack", "--skip-at", "iutest_iteration", "--fluence", "-5"],
+])
+def test_beam_numbers_are_validated_at_parse_time(argv, capsys):
+    """Non-finite or out-of-range beam numbers are argument errors (exit
+    2), by the rules HTTP job requests follow -- not a traceback, and
+    not a campaign that quietly runs with no strikes."""
+    command, bad = argv[0], argv[1:]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *_SMALL_BEAM, *bad])
+    assert excinfo.value.code == 2
+    assert f"argument {bad[-2]}" in capsys.readouterr().err
+
+
 def test_campaign_device_conflicts_with_result_store(tmp_path, capsys):
     code = main(["campaign", "--device", "standard",
                  "--results", str(tmp_path / "runs.jsonl")])

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.core.system import LeonSystem
 from repro.fault.campaign import (
     Campaign,
     CampaignConfig,
@@ -107,6 +108,38 @@ def test_early_exit_matches_full_oracle_wide_campaign(warm_tiny):
     assert all(r.exit_reason == "full" for r in oracle)
     assert any(r.exit_reason == "reconverged" for r in fast)
     assert any(r.upsets > 0 for r in fast)
+
+
+def test_fail_fast_compare_agrees_with_whole_state_digest(monkeypatch):
+    """At every boundary a real campaign's grading walk checks, the
+    per-component compare answers exactly what comparing whole-state
+    digests with the golden run's would."""
+    whole = {}
+    component_digests = LeonSystem.component_digests
+
+    def recording(self):
+        digests = component_digests(self)
+        whole[digests] = self.state_digest()
+        return digests
+
+    monkeypatch.setattr(LeonSystem, "component_digests", recording)
+    warm = prepare_warm_start(_mid())
+    assert len(whole) == len(warm.timeline.checkpoints)
+
+    outcomes = []
+    matches = LeonSystem.matches_digests
+
+    def checked(self, golden):
+        match = matches(self, golden)
+        assert match == (self.state_digest() == whole[golden])
+        outcomes.append(match)
+        return match
+
+    monkeypatch.setattr(LeonSystem, "matches_digests", checked)
+    configs = [dataclasses.replace(config, static_grading=False)
+               for config in expand_runs(_mid(), 8)]
+    CampaignExecutor(1).run_many(configs, warm=warm)
+    assert True in outcomes and False in outcomes
 
 
 def test_jobs_invariant_with_early_exit(warm_mid):

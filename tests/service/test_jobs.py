@@ -119,6 +119,39 @@ def test_resume_skips_stored_runs(db):
         [r.comparable() for r in direct]
 
 
+def test_resume_counts_stored_runs_without_decoding_them(db, monkeypatch):
+    """Resume matches the stored config keys: the scheduler reports the
+    same completed counts but never decodes the stored results."""
+    configs = expand_runs(_tiny(), 3)
+    job_id = db.create_job(configs, name="keyed")
+    campaign = db.campaign_id("keyed")
+    db.add_results(campaign, CampaignExecutor(1).run_many(configs[:2]))
+    db.update_job(job_id, state="running", completed=2)
+
+    started = []
+
+    class Recording(CampaignExecutor):
+        def run_many(self, pending, **kwargs):
+            started.append((len(pending), db.job(job_id)["completed"]))
+            return super().run_many(pending, **kwargs)
+
+    decoded = []
+    results = CampaignDatabase.results
+    monkeypatch.setattr(
+        CampaignDatabase, "results",
+        lambda self, campaign: decoded.append(campaign)
+        or results(self, campaign))
+    q = JobQueue(db, executor=Recording(1)).start()
+    try:
+        record = q.wait(job_id, timeout_s=120)
+    finally:
+        q.stop()
+    assert decoded == []
+    assert started == [(1, 2)]
+    assert record["state"] == "done"
+    assert record["completed"] == 3
+
+
 def test_early_exit_option_runs_every_run_in_full(db, queue):
     """Stored configs do not carry ``early_exit``, so the job option must
     turn grading off for the reloaded configs too."""
