@@ -17,7 +17,10 @@ acceptance invariants directly:
     direct run reports zero changed runs;
   * a second traced job under the first job's name adds its runs to the
     shared campaign, and ``/api/campaigns/<c>/stats`` folds the traces of
-    every stored run (no job's events replace another's).
+    every stored run (no job's events replace another's);
+  * that job runs on the scheduler thread's device after two untraced
+    jobs, yet stores exactly the events of a direct traced run of its
+    configs (host wall times aside): each run's telemetry is its own.
 
 Exit code 1 on any violation.
 
@@ -31,7 +34,7 @@ import tempfile
 import threading
 import urllib.request
 
-from repro.fault.executor import CampaignExecutor
+from repro.fault.executor import CampaignExecutor, run_campaign_traced
 from repro.fault.results import ResultStore, config_key
 from repro.service.api import build_job_request, make_server
 from repro.store import curve_from_results
@@ -41,6 +44,13 @@ PAYLOAD = {
     "seed": 11, "ips": 20_000.0, "beam_delay": 0.1, "beam_tail": 0.5,
     "runs": 2,
 }
+
+
+def stable(events):
+    """Trace events as the database stores them (JSON values), without
+    run tags or host wall times."""
+    return [{key: value for key, value in json.loads(json.dumps(event)).items()
+             if key not in ("run", "wall_s")} for event in events]
 
 
 def call(url, payload=None):
@@ -163,6 +173,23 @@ def main() -> int:
             failed = True
         else:
             print(f"shared campaign: traces of all {stored} run(s): OK")
+
+        # Its events, recorded on a device that ran two untraced jobs
+        # since, equal a direct traced run of the same configs.
+        second, _, _ = build_job_request(dict(PAYLOAD, seed=30))
+        events = server.db.events(server.db.campaign_id("http-smoke"))
+        first = len(configs)
+        mismatched = [
+            run for run, config in enumerate(second, first)
+            if stable(event for event in events if event["run"] == run)
+            != stable(run_campaign_traced(config).trace)]
+        if mismatched:
+            print(f"FAIL: stored events of run(s) {mismatched} differ from "
+                  f"a direct traced run of the same configs")
+            failed = True
+        else:
+            print(f"second traced job: events of its {len(second)} run(s) "
+                  f"equal a direct traced run: OK")
     finally:
         server.shutdown()
         server.queue.stop()

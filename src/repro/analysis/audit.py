@@ -12,13 +12,17 @@ few thousand instructions, and checks the invariants *live*:
     unknown live attribute means state the FT101 rule can never audit.
 
 ``snapshot-roundtrip``
-    ``snapshot() -> to_bytes() -> from_bytes() -> restore()`` into a
-    fresh system reproduces the state bit-for-bit, serialization is
-    byte-stable, and the restored copy's *future* (architectural digest
-    after further execution) matches the original's.  The per-component
-    grading digests must agree too, at both points: the memory digest
-    reads the live planes rather than ``capture()``, so this is what
-    keeps it from covering state a snapshot does not carry.
+    ``snapshot() -> to_bytes() -> from_bytes() -> restore()`` reproduces
+    the state bit-for-bit, serialization is byte-stable, and the
+    restored copy's *future* (architectural digest after further
+    execution) matches the original's.  The restore is checked twice:
+    into a fresh system, and into a used one that has run paranoia and
+    taken a strike in every injector target -- campaigns restore every
+    run into their thread's used device, so a ``restore()`` that skips
+    a field would carry the previous run's value into the next.  The
+    per-component grading digests must agree too, at both points: the
+    memory digest reads the live planes rather than ``capture()``, so
+    this is what keeps it from covering state a snapshot does not carry.
 
 ``injector-coverage``
     Every atomic storage object reachable from the system (anything
@@ -51,6 +55,22 @@ def _built():
     campaign = Campaign(CampaignConfig(program="iutest"))
     system, spin, _base, _program = campaign._build_program()
     return system, spin
+
+
+def _used():
+    """A system unlike a fresh one wherever a strike reaches: it has run
+    paranoia and then taken one strike in every injector target,
+    flip-flops included (so its ``_ffbank_dirty`` flag is set)."""
+    from repro.fault.campaign import Campaign, CampaignConfig
+    from repro.fault.injector import FaultInjector
+
+    campaign = Campaign(CampaignConfig(program="paranoia"))
+    system, spin, _base, _program = campaign._build_program()
+    system.run(WARMUP_INSTRUCTIONS, stop_pc=spin)
+    injector = FaultInjector(system, include_external_memory=True)
+    for name, target in sorted(injector.targets.items()):
+        injector.inject(name, target.bits // 2)
+    return system
 
 
 def _walk_objects(root: Any, *, max_depth: int = 6) -> Iterator[Any]:
@@ -129,25 +149,30 @@ def check_snapshot_roundtrip(model: ProjectModel) -> List[str]:
         failures.append("snapshot serialization is not byte-stable "
                         "(to_bytes differs after a decode cycle)")
 
-    clone, clone_spin = _built()
-    clone.restore(decoded)
-    if clone.snapshot() != snap:
-        failures.append("restoring a snapshot into a fresh system does "
-                        "not reproduce the captured state")
-    if clone.state_digest() != system.state_digest():
-        failures.append("restored system's architectural digest differs "
-                        "from the original's")
-    failures.extend(_component_drift(system, clone, "after the restore"))
+    clones = {"a fresh system": _built()[0], "a used system": _used()}
+    for into, clone in clones.items():
+        clone.restore(decoded)
+        if clone.snapshot() != snap:
+            failures.append(f"restoring a snapshot into {into} does not "
+                            f"reproduce the captured state")
+        if clone.state_digest() != system.state_digest():
+            failures.append(f"{into}'s architectural digest differs from "
+                            f"the original's after the restore")
+        failures.extend(_component_drift(
+            system, clone, f"after the restore into {into}"))
 
     system.run(FUTURE_INSTRUCTIONS, stop_pc=spin)
-    clone.run(FUTURE_INSTRUCTIONS, stop_pc=clone_spin)
-    if clone.state_digest() != system.state_digest():
-        failures.append(
-            f"restored system diverges from the original within "
-            f"{FUTURE_INSTRUCTIONS} instructions: snapshot state is "
-            f"incomplete (some execution-relevant state escaped capture)")
-    failures.extend(_component_drift(
-        system, clone, f"{FUTURE_INSTRUCTIONS} instructions later"))
+    for into, clone in clones.items():
+        clone.run(FUTURE_INSTRUCTIONS, stop_pc=spin)
+        if clone.state_digest() != system.state_digest():
+            failures.append(
+                f"{into} restored from a snapshot diverges from the "
+                f"original within {FUTURE_INSTRUCTIONS} instructions: "
+                f"snapshot state is incomplete (some execution-relevant "
+                f"state escaped capture or restore)")
+        failures.extend(_component_drift(
+            system, clone, f"{FUTURE_INSTRUCTIONS} instructions after the "
+            f"restore into {into}"))
     return failures
 
 
@@ -158,7 +183,7 @@ def _component_drift(system, clone, when: str) -> List[str]:
 
     return [f"restored system's {name!r} grading digest differs from "
             f"the original's {when}: the digest reads state that "
-            f"capture() does not cover"
+            f"capture() or restore() does not cover"
             for name, mine, theirs in zip(DIGEST_ORDER,
                                           system.component_digests(),
                                           clone.component_digests())

@@ -27,7 +27,7 @@ class DataCache(CacheBase):
         super().__init__(*args, **kwargs)
         #: One extra cycle per double-store, set by the system when the
         #: register file is protected (the write-buffer delay of section 4.4).
-        self.double_store_delay = False  # state: config -- set once at system build, constant per run
+        self.double_store_delay = False  # state: config -- set once at system build, constant per device
         #: Write-buffer occupancy statistics.
         self.buffered_stores = 0
 

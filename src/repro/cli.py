@@ -89,7 +89,12 @@ from repro.fault.report import (
     render_table,
     render_table2,
 )
-from repro.fault.models import classify_outcome, model_names, security_fold
+from repro.fault.models import (
+    classify_outcome,
+    model_names,
+    security_fold,
+    validate_attack_params,
+)
 from repro.fault.rates import ENVIRONMENTS, RatePredictor
 from repro.fault.results import ResultStore, config_key
 from repro.iu.pipetrace import PipelineTracer
@@ -143,6 +148,34 @@ def _non_negative(text: str) -> float:
 
 def _let_list(text: str):
     return tuple(_non_negative(part) for part in text.split(","))
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _attack_param(name: str, convert):
+    """argparse type of one attack parameter: *convert* the text, then
+    hold it to :func:`~repro.fault.models.validate_attack_params`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number, got {text!r}") from None
+        try:
+            validate_attack_params({name: value})
+        except ConfigurationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
 def _add_config_argument(parser: argparse.ArgumentParser) -> None:
@@ -239,15 +272,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="opcode-corruption attack: flip one bit of "
                              "the word at PC (hex address or program "
                              "symbol)")
-    attack.add_argument("--window", type=int, default=1,
+    attack.add_argument("--window", type=_attack_param("window", int),
+                        default=1,
                         help="attack window in words starting at PC; each "
                              "run's seed picks one word (default: 1)")
-    attack.add_argument("--bit", type=int, default=None,
-                        help="opcode bit to flip (default: seed-chosen)")
-    attack.add_argument("--at", type=float, default=0.5,
+    attack.add_argument("--bit", type=_attack_param("bit", int),
+                        default=None,
+                        help="opcode bit to flip, 0..31 (default: "
+                             "seed-chosen)")
+    attack.add_argument("--at", type=_attack_param("time_s", float),
+                        default=0.5,
                         help="attack time into the beam window, seconds "
                              "(default: 0.5)")
-    attack.add_argument("--runs", type=int, default=8,
+    attack.add_argument("--runs", type=_at_least_one, default=8,
                         help="independent replicas (derived seeds sweep "
                              "the window; default: 8)")
     attack.add_argument("--seed", type=int, default=1)

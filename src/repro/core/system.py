@@ -184,13 +184,26 @@ class LeonSystem:
         #: Whether the watchdog output is wired to the reset line (the
         #: paper's "normally wired to system reset").  Harnesses that only
         #: want to observe the latch can unwire it.
-        self.watchdog_reset_enabled = True  # state: config -- harness wiring choice, constant per run
+        self.watchdog_reset_enabled = True  # state: config -- harness wiring choice, constant per device
         #: Trace-JIT engine, or None when disabled (``jit=False`` or
         #: ``REPRO_JIT=0``).  Pure acceleration state -- never part of a
         #: snapshot, invalidated on restore/reset/reload.
         if jit is None:
             jit = jit_default_enabled()
         self.jit = JitEngine(self) if jit else None
+
+    def bind_telemetry(self, telemetry: Optional[Telemetry]) -> None:
+        """Send this system's events to *telemetry* (None: the null bus).
+
+        Rebinds the four places construction binds: the system, both
+        caches and the integer unit.  A device reused across campaign
+        runs gets each run's telemetry this way.
+        """
+        telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry
+        self.icache.telemetry = telemetry
+        self.dcache.telemetry = telemetry
+        self.iu.telemetry = telemetry
 
     # -- state capture ---------------------------------------------------------------
 

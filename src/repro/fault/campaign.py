@@ -21,9 +21,10 @@ experiment (E6) where the flux axis is scaled accordingly (EXPERIMENTS.md).
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.analysis.program import AceMap, analyze_program, entry_context
 from repro.core.config import LeonConfig
@@ -40,6 +41,7 @@ from repro.fault.grading import (
 from repro.fault.injector import FaultInjector
 from repro.fault.models import build_model
 from repro.iu.pipeline import HaltReason
+from repro.jit import jit_default_enabled
 from repro.programs import (
     ProgramHarness,
     build_cncf,
@@ -371,8 +373,69 @@ def _read_results(system: LeonSystem, result_base: int,
     )
 
 
+class _DeviceSlot(threading.local):
+    """One thread's device and the start states its runs restore.
+
+    Every :meth:`Campaign.run` on a thread shares one :class:`LeonSystem`
+    and restores its start state into it: the decoded warm-start
+    snapshot, or the cold boot image.  Snapshots cover all execution
+    state (lint rules FT101/FT102 and the audit's ``snapshot-roundtrip``
+    check hold them to it), so restoring into a used device equals
+    restoring into a fresh one.  No ``restore()`` aliases a snapshot's
+    payloads, so the shared snapshots stay intact however often they
+    are restored.  A forked pool worker may inherit its parent's slot;
+    restoring before use makes that harmless.
+    """
+
+    def __init__(self) -> None:
+        #: ``(LeonConfig, JIT enabled)`` the device was built for.
+        self.device_key: Optional[Tuple[LeonConfig, bool]] = None
+        self.system: Optional[LeonSystem] = None
+        #: The warm-start bytes :attr:`warm` was decoded from.
+        self.warm_bytes: Optional[bytes] = None
+        self.warm: Optional[Snapshot] = None
+        #: ``(program, program_kwargs, LeonConfig)`` of :attr:`boot`.
+        self.boot_key: Optional[tuple] = None
+        #: The program-loaded snapshot, its spin PC and result base.
+        self.boot: Optional[Tuple[Snapshot, int, int]] = None
+
+    def device(self, leon: LeonConfig) -> LeonSystem:
+        """The thread's device for *leon*, built on first use.
+
+        ``REPRO_JIT`` is read again on every call, so a device never
+        outlives a change of the JIT switch.
+        """
+        key = (leon, jit_default_enabled())
+        if self.system is None or self.device_key != key:
+            self.system = LeonSystem(leon)
+            self.device_key = key
+        return self.system
+
+    def warm_snapshot(self, data: bytes) -> Snapshot:
+        """*data* decoded, once per warm start rather than once per run."""
+        if self.warm is None or self.warm_bytes != data:
+            self.warm = Snapshot.from_bytes(data)
+            self.warm_bytes = data
+        return self.warm
+
+    def boot_image(self, campaign: "Campaign") -> Tuple[Snapshot, int, int]:
+        """The campaign program's load-time snapshot, spin PC and result
+        base, assembled once per program and device."""
+        config = campaign.config
+        key = (config.program, tuple(sorted(config.program_kwargs.items())),
+               campaign.leon_config)
+        if self.boot is None or self.boot_key != key:
+            system, spin, result_base, _program = campaign._build_program()
+            self.boot = (system.snapshot(), spin, result_base)
+            self.boot_key = key
+        return self.boot
+
+
+_SLOT = _DeviceSlot()
+
+
 class Campaign:
-    """Builds the device + beam and executes one (or more) runs."""
+    """Executes runs of one campaign config on the thread's device."""
 
     def __init__(self, config: CampaignConfig, *,
                  telemetry: Optional[Telemetry] = None) -> None:
@@ -390,14 +453,11 @@ class Campaign:
         #: boundary of :meth:`_run_until`.
         self._reassert = None
 
-    def build_system(self) -> LeonSystem:
-        return LeonSystem(self.leon_config, telemetry=self.telemetry)
-
     def _build_program(self):
         """Fresh system with the test program loaded; returns
         (system, spin pc, result-area base, program image)."""
         config = self.config
-        system = self.build_system()
+        system = LeonSystem(self.leon_config)
         builder = self._builder
         # Effectively-endless by default; a finite override makes the
         # program park at ``_exit`` when done (still alive, still hit by
@@ -446,9 +506,10 @@ class Campaign:
         """Build the run's :class:`RecoveryController` (None without a policy).
 
         Called with the system at the beam-window entry (prefix executed):
-        that state is the warm-reset checkpoint.  The cold-reboot image is
-        the load-time state of a freshly built program system -- identical
-        for cold and warm runs, so recovery trajectories are too.
+        that state is the warm-reset checkpoint, which a warm run already
+        holds decoded.  The cold-reboot image is the thread's boot image
+        (:meth:`_DeviceSlot.boot_image`) -- identical for cold and warm
+        runs, so recovery trajectories are too.
         """
         policy = self.recovery_policy
         if policy is None:
@@ -456,12 +517,11 @@ class Campaign:
         checkpoint = boot = None
         if RecoveryLevel.WARM_RESET in policy.ladder:
             if warm is not None:
-                checkpoint = Snapshot.from_bytes(warm.snapshot)
+                checkpoint = _SLOT.warm_snapshot(warm.snapshot)
             else:
                 checkpoint = system.snapshot()
         if RecoveryLevel.COLD_REBOOT in policy.ladder:
-            boot, _spin, _rb, _program = self._build_program()
-            boot = boot.snapshot()
+            boot, _spin, _base = _SLOT.boot_image(self)
 
         def harvest(sys_: LeonSystem) -> None:
             # Before a reset discards execution state, bank the program's
@@ -508,9 +568,13 @@ class Campaign:
     def run(self, warm: Optional[WarmStart] = None) -> CampaignResult:
         """Execute one run in four steps: plan, advance, classify, finish.
 
-        *Plan* builds the run's one system and schedules its strikes on
-        it; a warm run whose every strike the ACE map proves dead is
-        graded there (``static_masked``) and never restored or executed.
+        *Plan* takes the thread's device (:class:`_DeviceSlot`; no system
+        is built per run), binds the run's telemetry to it and schedules
+        the strikes on it; a warm run whose every strike the ACE map
+        proves dead is graded there (``static_masked``) and never
+        restored or executed.  Every other run restores its start state
+        into the device: the decoded warm-start snapshot, or the cold
+        boot image.
         *Advance* applies the strikes in arrival order.  *Classify* picks
         the exit -- ``reconverged`` from the golden timeline, else
         ``full`` after draining the tail -- and :meth:`_finish` reports
@@ -541,20 +605,22 @@ class Campaign:
                 raise ConfigurationError(
                     "warm start was prepared for an incompatible campaign "
                     "configuration")
-            system = self.build_system()
             spin, result_base = warm.spin_pc, warm.result_base
             state.update(executed=warm.executed,
                          since_flush=warm.since_flush, failed=warm.failed)
         else:
-            system, spin, result_base, _program = self._build_program()
+            boot, spin, result_base = _SLOT.boot_image(self)
+        system = _SLOT.device(self.leon_config)
+        system.bind_telemetry(telemetry)
         # Schedules are a pure function of the beam parameters and the
         # device geometry, and restore() works in place, so the injector
-        # built on the fresh system stays valid across the restore below.
+        # stays valid across the restore below.
         injector = FaultInjector(system)
         strikes = model.schedule(injector)
         static = self._statically_masked(warm, model, injector, strikes)
-        if warm is not None and not static:
-            system.restore(Snapshot.from_bytes(warm.snapshot))
+        if not static:
+            system.restore(boot if warm is None
+                           else _SLOT.warm_snapshot(warm.snapshot))
         if traced:
             telemetry.note("span", phase="setup",
                            wall_s=time.perf_counter() - started,
@@ -689,7 +755,8 @@ class Campaign:
         under a recovery policy.  With lifecycle tracing on, write-only
         ("ambiguous") sites fall back to execution so the traced close
         states stay byte-identical to the oracle's.  Called before the
-        restore: locating a strike reads only the device geometry.
+        restore: locating a strike reads only the device geometry, so the
+        device may still hold an earlier run's state.
         """
         config = self.config
         if not (warm is not None and warm.ace is not None

@@ -16,7 +16,10 @@ bit-for-bit identical to a serial loop over the same configs, and ``jobs=1``
 
 A warm campaign hands every run the same
 :class:`~repro.fault.campaign.WarmStart`, and every run that executes
-restores its one snapshot.
+restores its one snapshot.  Runs build no system of their own: the
+parent's thread and each worker keep one device and restore every run
+into it, decoding the warm snapshot once (see
+:meth:`~repro.fault.campaign.Campaign.run`).
 
 Fault tolerance (of the host, not the device)
 ---------------------------------------------

@@ -47,6 +47,7 @@ is **detected** (the FT fabric flagged the fault), **silently executed**
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
@@ -342,6 +343,41 @@ class FunctionalInterrupt(FaultModel):
 
 # -- targeted attacks: instruction skip and opcode corruption ---------------
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def validate_attack_params(params: Dict[str, Any]) -> None:
+    """Check the attack models' ``fault_params`` before any run uses them.
+
+    ``pc`` must be an integer address, ``window`` an integer of at least
+    one word, ``time_s`` a finite beam time of at least 0 s, and ``bit``
+    an integer data-word bit in 0..31.  Absent keys keep their defaults.
+    Raises ConfigurationError naming the first bad parameter; ``repro
+    attack`` and ``POST /api/jobs`` call it on their input, and the
+    attack models call it before scheduling.
+    """
+    pc = params.get("pc")
+    if pc is not None and not _is_int(pc):
+        raise ConfigurationError(
+            f"pc must be an integer address, got {pc!r}")
+    window = params.get("window", 1)
+    if not _is_int(window) or window < 1:
+        raise ConfigurationError(
+            f"window must be an integer of at least 1 word, got {window!r}")
+    time_s = params.get("time_s", 0.0)
+    if (isinstance(time_s, bool) or not isinstance(time_s, (int, float))
+            or not math.isfinite(time_s) or time_s < 0):
+        raise ConfigurationError(
+            f"time_s must be a finite number of seconds >= 0, "
+            f"got {time_s!r}")
+    bit = params.get("bit")
+    if bit is not None and not (_is_int(bit) and 0 <= bit < 32):
+        raise ConfigurationError(
+            f"bit must be an integer in 0..31 (a data-word bit), "
+            f"got {bit!r}")
+
+
 def _attack_site(config, injector: FaultInjector) -> Tuple[int, int]:
     """``(absolute address, local sram offset)`` of the attacked word.
 
@@ -351,13 +387,13 @@ def _attack_site(config, injector: FaultInjector) -> Tuple[int, int]:
     the attack space is declared accordingly -- a PC outside the SRAM
     bank is a configuration error.
     """
-    params = dict(config.fault_params)
+    params = config.fault_params
+    validate_attack_params(params)
     pc = params.get("pc")
     if pc is None:
         raise ConfigurationError(
             "attack models need fault_params['pc'] (the target instruction)")
-    pc = int(pc)
-    window = max(int(params.get("window", 1) or 1), 1)
+    window = params.get("window", 1)
     if window > 1:
         rng = random.Random(config.seed)
         pc += 4 * rng.randrange(window)
@@ -375,8 +411,8 @@ class _Attack:
     EXHAUSTIVE = False  # the space narrows to the configured site
 
     def fault_space(self, injector: FaultInjector) -> Dict[str, int]:
-        window = max(int(self.config.fault_params.get("window", 1) or 1), 1)
-        return {"ext-sram": window * 32}
+        validate_attack_params(self.config.fault_params)
+        return {"ext-sram": self.config.fault_params.get("window", 1) * 32}
 
     def _plan(self, injector: FaultInjector, *, bit: int,
               info: Dict[str, Any]) -> List[PlannedFault]:
@@ -437,9 +473,6 @@ class OpcodeCorruption(_Attack, FaultModel):
         bit = self.config.fault_params.get("bit")
         if bit is None:
             bit = random.Random(self.config.seed).randrange(32)
-        bit = int(bit)
-        if not 0 <= bit < 32:
-            raise ConfigurationError(f"opcode bit {bit} outside the data word")
         return self._plan(injector, bit=bit, info={"bit": bit})
 
     def apply(self, fault: PlannedFault, injector: FaultInjector) -> None:

@@ -57,7 +57,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.errors import ConfigurationError
 from repro.fault.campaign import CampaignConfig, resolve_builder
 from repro.fault.executor import expand_runs
-from repro.fault.models import model_names
+from repro.fault.models import model_names, validate_attack_params
 from repro.fault.results import result_to_dict
 from repro.recovery import POLICIES
 from repro.service.dashboard import DASHBOARD_HTML
@@ -104,6 +104,10 @@ def build_job_request(payload: Dict[str, object]
     fault_params = payload.get("fault_params", {})
     if not isinstance(fault_params, dict):
         raise ValueError("fault_params must be a JSON object")
+    try:
+        validate_attack_params(fault_params)
+    except ConfigurationError as exc:
+        raise ValueError(f"bad fault_params: {exc}") from None
     recovery = str(payload.get("recovery", "none"))
     if recovery not in POLICIES:
         raise ValueError(f"unknown recovery policy {recovery!r}")

@@ -83,3 +83,23 @@ def test_audit_catches_a_grading_digest_reading_uncaptured_state(
         lambda self: (*planes(self), np.array([id(self)], dtype=np.uint64)))
     failures = check_snapshot_roundtrip(None)
     assert any("'memory' grading digest" in failure for failure in failures)
+
+
+def test_audit_catches_a_restore_that_skips_a_field(monkeypatch):
+    """A ``restore()`` that leaves one field alone passes on a fresh
+    system, whose value happens to be the snapshot's; the used system,
+    struck in every injector target, keeps its own value and fails."""
+    from repro.analysis.audit import check_snapshot_roundtrip
+    from repro.iu.regfile import RegisterFile
+
+    original = RegisterFile.restore
+
+    def restore_all_but_suspects(self, state):
+        suspect = self._suspect
+        original(self, state)
+        self._suspect = suspect
+
+    monkeypatch.setattr(RegisterFile, "restore", restore_all_but_suspects)
+    failures = check_snapshot_roundtrip(None)
+    assert failures
+    assert all("used system" in failure for failure in failures)

@@ -107,11 +107,20 @@ _SMALL_BEAM = ["--fluence", "100", "--ips", "2000"]
     ["attack", "--skip-at", "iutest_iteration", "--ips", "0"],
     ["attack", "--skip-at", "iutest_iteration", "--flux", "inf"],
     ["attack", "--skip-at", "iutest_iteration", "--fluence", "-5"],
+    ["attack", "--skip-at", "iutest_iteration", "--at", "nan"],
+    ["attack", "--skip-at", "iutest_iteration", "--at", "inf"],
+    ["attack", "--skip-at", "iutest_iteration", "--at", "-0.5"],
+    ["attack", "--skip-at", "iutest_iteration", "--window", "0"],
+    ["attack", "--skip-at", "iutest_iteration", "--window", "-3"],
+    ["attack", "--skip-at", "iutest_iteration", "--runs", "0"],
+    ["attack", "--opcode-at", "iutest_iteration", "--bit", "40"],
+    ["attack", "--opcode-at", "iutest_iteration", "--bit", "-1"],
 ])
 def test_beam_numbers_are_validated_at_parse_time(argv, capsys):
-    """Non-finite or out-of-range beam numbers are argument errors (exit
-    2), by the rules HTTP job requests follow -- not a traceback, and
-    not a campaign that quietly runs with no strikes."""
+    """Non-finite or out-of-range beam and attack numbers are argument
+    errors (exit 2), by the rules HTTP job requests follow -- not a
+    traceback, and not a campaign that quietly runs with no strikes or
+    attacks a silently clamped window."""
     command, bad = argv[0], argv[1:]
     with pytest.raises(SystemExit) as excinfo:
         main([command, *_SMALL_BEAM, *bad])

@@ -126,3 +126,30 @@ def test_perf_counters_accumulate():
     assert system.perf.instructions == 2
     assert system.perf.cycles >= 2
     assert 0 < system.perf.ipc <= 1
+
+
+def _telemetry_holders(system, telemetry):
+    from repro.analysis.audit import _walk_objects
+
+    return sorted(type(obj).__name__ for obj in _walk_objects(system)
+                  if getattr(obj, "telemetry", None) is telemetry)
+
+
+def test_bind_telemetry_reaches_every_holder_construction_binds():
+    """A device reused across campaign runs gets each run's telemetry
+    through ``bind_telemetry``: it must reach every object that
+    construction hands the telemetry to, or part of a traced run's
+    events would land in an earlier run's trace."""
+    from repro.telemetry import MemorySink, Telemetry
+
+    config = LeonConfig.leon_express()
+    telemetry = Telemetry(MemorySink())
+    built = _telemetry_holders(LeonSystem(config, telemetry=telemetry),
+                               telemetry)
+    system = LeonSystem(config)
+    system.bind_telemetry(telemetry)
+    assert _telemetry_holders(system, telemetry) == built
+    assert built == sorted(["LeonSystem", "InstructionCache", "DataCache",
+                            "IntegerUnit"])
+    system.bind_telemetry(None)
+    assert _telemetry_holders(system, telemetry) == []

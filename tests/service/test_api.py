@@ -59,6 +59,12 @@ def test_build_job_request_rejects_bad_input():
         build_job_request([1, 2, 3])
 
 
+def _attack(**params):
+    """An instruction-skip submission with attack parameters *params*."""
+    return {"fault_model": "instruction-skip",
+            "fault_params": {"pc": 0x40001000, **params}}
+
+
 @pytest.mark.parametrize("overrides", [
     {"beam_delay": 1e9},
     {"beam_tail": 1e9},
@@ -73,6 +79,15 @@ def test_build_job_request_rejects_bad_input():
     {"beam_delay": -0.25},
     {"beam_tail": -0.5},
     {"flush_period": -400},
+    _attack(time_s=float("nan")),
+    _attack(time_s=float("inf")),
+    _attack(time_s=-0.5),
+    _attack(window=0),
+    _attack(window=2.5),
+    _attack(bit=40),
+    _attack(bit=-1),
+    _attack(pc="zz"),
+    _attack(pc="0x40000000"),
 ])
 def test_build_job_request_rejects_out_of_range_numbers(overrides):
     """Numbers that would hold the scheduler thread for ever, or fail
@@ -212,6 +227,21 @@ def test_error_mapping(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _call(server, "/api/diff?a=missing")
     assert err.value.code == 400
+
+
+def test_bad_attack_params_answer_400_and_create_no_job(server):
+    jobs = len(_call(server, "/api/jobs")["jobs"])
+    body = json.dumps(dict(TINY_PAYLOAD, fault_model="opcode",
+                           fault_params={"pc": 0x40001000,
+                                         "time_s": float("nan")}))
+    request = urllib.request.Request(
+        server.url + "/api/jobs", data=body.encode(),
+        headers={"Content-Type": "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request)
+    assert err.value.code == 400
+    assert "time_s" in err.value.read().decode()
+    assert len(_call(server, "/api/jobs")["jobs"]) == jobs
 
 
 @pytest.mark.parametrize("clock", ["0", "nan", "-5"])

@@ -190,3 +190,39 @@ def test_traced_jobs_sharing_a_campaign_keep_every_trace(db, queue):
 def test_submit_rejects_empty(queue):
     with pytest.raises(ValueError):
         queue.submit([])
+
+
+def _stored_trace(db, name):
+    """A campaign's stored events without their host wall times."""
+    return [{key: value for key, value in event.items() if key != "wall_s"}
+            for event in db.events(db.campaign_id(name))]
+
+
+def test_each_job_traces_into_its_own_events(db, queue):
+    """The scheduler thread runs every job on one device: a traced job,
+    a struck untraced one, then a traced warm one.  The untraced job
+    stores no events, and each traced job stores exactly the events a
+    fresh queue (a fresh thread, hence a fresh device) stores for it."""
+    jobs = [("traced", _tiny(seed=11), {"trace": True}),
+            ("untraced", _tiny(let=110.0, seed=12), {}),
+            ("traced-warm", _tiny(seed=13),
+             {"trace": True, "warm_start": True})]
+    for name, config, options in jobs:
+        job_id = queue.submit(expand_runs(config, 2), name=name,
+                              options=options)
+        assert queue.wait(job_id, timeout_s=120)["state"] == "done"
+    assert db.events(db.campaign_id("untraced")) == []
+    for name, config, options in jobs:
+        if not options.get("trace"):
+            continue
+        with CampaignDatabase(":memory:") as fresh_db:
+            fresh = JobQueue(fresh_db).start()
+            try:
+                job_id = fresh.submit(expand_runs(config, 2), name=name,
+                                      options=options)
+                assert fresh.wait(job_id, timeout_s=120)["state"] == "done"
+            finally:
+                fresh.stop()
+            expected = _stored_trace(fresh_db, name)
+        assert any(event["ev"] == "run-end" for event in expected)
+        assert _stored_trace(db, name) == expected
