@@ -12,7 +12,10 @@ and checks that
     attack either lands (silent data corruption the security readout
     must surface) or falls in a dead slot (masked);
   * at least one run is *silent*: the whole point of the readout is
-    that instruction-skip at a checksum site evades the FT fabric.
+    that instruction-skip at a checksum site evades the FT fabric;
+  * ``build_job_request`` refuses an attack job that names no valid
+    site (no ``pc``, a ``pc`` outside SRAM, a window crossing the end of
+    SRAM) before any run.
 
 Exit code 1 on any violation.  This is the fast always-on guard for the
 fault-model layer and the ``repro attack`` code path.
@@ -22,9 +25,11 @@ Usage: PYTHONPATH=src python scripts/attack_smoke.py
 
 import sys
 
+from repro.core.config import LeonConfig
 from repro.fault.campaign import CampaignConfig, resolve_builder
 from repro.fault.executor import CampaignExecutor, expand_runs
 from repro.fault.models import security_fold
+from repro.service.api import build_job_request
 
 JOB_COUNTS = (1, 2)
 RUNS = 8
@@ -82,6 +87,23 @@ def main() -> int:
         print("FAIL: no silent run -- the attack never evaded detection, "
               "the readout has nothing to surface")
         failed = True
+
+    memory = LeonConfig.leon_express().memory
+    sram_end = memory.sram_base + memory.sram_bytes
+    for label, params in (("no pc", {}),
+                          ("a pc outside SRAM", {"pc": 0x10}),
+                          ("a window crossing the end of SRAM",
+                           {"pc": sram_end - 8, "window": 8})):
+        try:
+            build_job_request({"program": "iutest",
+                               "fault_model": "instruction-skip",
+                               "fault_params": params})
+        except ValueError as exc:
+            print(f"job with {label} refused: OK ({exc})")
+        else:
+            print(f"FAIL: build_job_request accepted an attack job with "
+                  f"{label}")
+            failed = True
 
     return 1 if failed else 0
 

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.errors import BusError, ConfigurationError
+from repro.errors import ConfigurationError
 
 
 class TransferSize(enum.IntEnum):
@@ -181,12 +181,3 @@ class AhbBus:
         for result in results:
             self._account(master, result)
         return results
-
-    def read_word_checked(self, address: int,
-                          master: Optional[AhbMaster] = None) -> int:
-        """Convenience read that raises :class:`BusError` on ERROR responses
-        (used by tests and examples, not by the processor)."""
-        result = self.read(address, TransferSize.WORD, master)
-        if result.error:
-            raise BusError(address)
-        return result.data

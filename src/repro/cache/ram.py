@@ -113,3 +113,16 @@ class CacheRam:
         index, bit = divmod(flat_bit, self.bits_per_word)
         self.inject(index, bit)
         return index, bit
+
+    def peek_flat(self, flat_bit: int) -> int:
+        """The stored bit :meth:`inject_flat` would flip."""
+        index, bit = divmod(flat_bit, self.bits_per_word)
+        return ((self._check[index] << 32 | self._data[index]) >> bit) & 1
+
+    def word_of(self, flat_bit: int) -> int:
+        """The word a flat bit lands in: the index a parity error names."""
+        return flat_bit // self.bits_per_word
+
+    def is_latent(self, word: int) -> bool:
+        """Is an undetected upset in *word* still resident (suspect)?"""
+        return word in self._suspect

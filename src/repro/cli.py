@@ -94,6 +94,7 @@ from repro.fault.models import (
     model_names,
     security_fold,
     validate_attack_params,
+    validate_attack_site,
 )
 from repro.fault.rates import ENVIRONMENTS, RatePredictor
 from repro.fault.results import ResultStore, config_key
@@ -620,16 +621,22 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         return 2
     spec = args.skip_at or args.opcode_at
     model = "instruction-skip" if args.skip_at else "opcode"
-    pc = _resolve_pc(spec, args.program)
-    fault_params = {"pc": pc, "window": args.window, "time_s": args.at}
-    if args.bit is not None:
-        fault_params["bit"] = args.bit
-    config = CampaignConfig(
-        program=args.program, flux=args.flux, fluence=args.fluence,
-        seed=args.seed, instructions_per_second=args.ips,
-        recovery=args.recovery, fault_model=model,
-        fault_params=fault_params,
-    )
+    try:
+        pc = _resolve_pc(spec, args.program)
+        fault_params = {"pc": pc, "window": args.window, "time_s": args.at}
+        if args.bit is not None:
+            fault_params["bit"] = args.bit
+        config = CampaignConfig(
+            program=args.program, flux=args.flux, fluence=args.fluence,
+            seed=args.seed, instructions_per_second=args.ips,
+            recovery=args.recovery, fault_model=model,
+            fault_params=fault_params,
+        )
+        validate_attack_site(config)
+    except ConfigurationError as exc:
+        option = "--skip-at" if args.skip_at else "--opcode-at"
+        print(f"error: argument {option}: {exc}", file=sys.stderr)
+        return 2
     configs = expand_runs(config, args.runs)
     store = ResultStore(args.results) if args.results else None
     try:

@@ -26,10 +26,6 @@ class AssemblerError(ReproError):
         super().__init__(message)
 
 
-class DecodeError(ReproError):
-    """A 32-bit word does not encode a valid SPARC V8 instruction."""
-
-
 class BusError(ReproError):
     """An AMBA transfer received an ERROR response."""
 

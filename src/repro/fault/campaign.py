@@ -259,11 +259,6 @@ class CampaignResult:
             return 1.0
         return 1.0 - self.downtime_cycles / self.cycles
 
-    @property
-    def undetected_errors(self) -> int:
-        """Errors that escaped the FT machinery and corrupted results."""
-        return self.sw_errors
-
     def cross_section(self, kind: str = "Total") -> float:
         """Measured cross-section, cm^2: corrected errors per unit fluence."""
         return self.counts[kind] / self.config.fluence

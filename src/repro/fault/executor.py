@@ -31,13 +31,12 @@ still fail after ``retries`` extra attempts are reported together in a
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.fault.campaign import (
     Campaign,
@@ -103,42 +102,24 @@ def run_campaign_traced(config: CampaignConfig,
     return result
 
 
-#: Warm starts shared with worker processes by inheritance.  The parent
-#: registers the :class:`WarmStart` under a token before creating the
-#: pool; ``fork`` children inherit the registry as-is (the snapshot bytes
-#: are never pickled, and the OS shares the pages copy-on-write), while
-#: ``spawn`` children get it installed once per *worker* via the pool
-#: initializer -- one pickle per worker instead of one per submitted
-#: chunk.
-_SHARED_WARM: Dict[int, WarmStart] = {}
-_WARM_TOKENS = itertools.count(1)
+#: The warm start of the pool this worker process belongs to.  The pool
+#: initializer installs it once per worker: ``fork`` hands initializer
+#: arguments to the child without pickling them, and ``spawn`` pickles
+#: them once per worker instead of once per submitted chunk.
+_worker_warm: Optional[WarmStart] = None
 
 
-def _install_shared_warm(token: int, warm: WarmStart) -> None:
-    """Pool initializer (``spawn`` fallback): register the shared warm
-    start in this worker's copy of the registry."""
-    _SHARED_WARM[token] = warm
-
-
-def _resolve_warm(ref) -> Optional[WarmStart]:
-    """A warm reference is None, a WarmStart, or a shared-registry token."""
-    if ref is None or isinstance(ref, WarmStart):
-        return ref
-    return _SHARED_WARM[ref]
+def _install_warm(warm: Optional[WarmStart]) -> None:
+    """Pool initializer: keep the campaign's warm start in this worker."""
+    global _worker_warm
+    _worker_warm = warm
 
 
 def _run_chunk(runner: Runner,
                configs: Sequence[CampaignConfig],
-               warm=None,
                ) -> List[CampaignResult]:
-    """Worker entry point: run one chunk of configs back to back.
-
-    ``warm`` accepts the reference forms of :func:`_resolve_warm`, so a
-    shared warm start crosses the process boundary once (fork
-    inheritance or the spawn initializer), not once per chunk.
-    """
-    warm = _resolve_warm(warm)
-    return [runner(config, warm) for config in configs]
+    """Worker entry point: run one chunk of configs back to back."""
+    return [runner(config, _worker_warm) for config in configs]
 
 
 def _format_error(exc: BaseException) -> str:
@@ -287,54 +268,36 @@ class CampaignExecutor:
         size = self._chunk_size(len(configs))
         chunks = [configs[offset:offset + size]
                   for offset in range(0, len(configs), size)]
-        context = self._context()
-        # Share the warm start with the pool by inheritance: register it
-        # under a token before the workers exist.  Fork children see the
-        # registry directly; spawn children get it from the pool
-        # initializer, once per worker.
-        warm_ref = token = None
-        initializer = initargs = None
-        if warm is not None:
-            token = next(_WARM_TOKENS)
-            _SHARED_WARM[token] = warm
-            warm_ref = token
-            if context.get_start_method() != "fork":
-                initializer = _install_shared_warm
-                initargs = (token, warm)
-        try:
-            with ProcessPoolExecutor(max_workers=min(self.jobs, len(chunks)),
-                                     mp_context=context,
-                                     initializer=initializer,
-                                     initargs=initargs or ()) as pool:
-                futures = [pool.submit(_run_chunk, self.runner, chunk,
-                                       warm_ref)
-                           for chunk in chunks]
-                for chunk, future in zip(chunks, futures):
-                    try:
-                        chunk_results: List[Optional[CampaignResult]] = \
-                            list(future.result())
-                    except Exception as exc:
-                        # Worker raised or died; a broken pool also lands
-                        # here for every remaining chunk.  The configs are
-                        # self-contained, so retrying serially in the
-                        # parent reproduces exactly what the worker would
-                        # have computed.
-                        if self.retries:
-                            chunk_results = [
-                                self._attempt(config, failures,
-                                              attempts=self.retries,
-                                              warm=warm)
-                                for config in chunk]
-                        else:
-                            error = _format_error(exc)
-                            failures.extend(
-                                ExecutorFailure(config=config, error=error)
-                                for config in chunk)
-                            chunk_results = [None] * len(chunk)
-                    collect(chunk_results)
-        finally:
-            if token is not None:
-                _SHARED_WARM.pop(token, None)
+        # Each worker receives the warm start once, through the pool
+        # initializer.
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(chunks)),
+                                 mp_context=self._context(),
+                                 initializer=_install_warm,
+                                 initargs=(warm,)) as pool:
+            futures = [pool.submit(_run_chunk, self.runner, chunk)
+                       for chunk in chunks]
+            for chunk, future in zip(chunks, futures):
+                try:
+                    chunk_results: List[Optional[CampaignResult]] = \
+                        list(future.result())
+                except Exception as exc:
+                    # Worker raised or died; a broken pool also lands here
+                    # for every remaining chunk.  The configs are
+                    # self-contained, so retrying serially in the parent
+                    # reproduces exactly what the worker would have
+                    # computed.
+                    if self.retries:
+                        chunk_results = [
+                            self._attempt(config, failures,
+                                          attempts=self.retries, warm=warm)
+                            for config in chunk]
+                    else:
+                        error = _format_error(exc)
+                        failures.extend(
+                            ExecutorFailure(config=config, error=error)
+                            for config in chunk)
+                        chunk_results = [None] * len(chunk)
+                collect(chunk_results)
 
     def _attempt(self, config: CampaignConfig,
                  failures: List[ExecutorFailure],

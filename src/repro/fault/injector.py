@@ -2,13 +2,15 @@
 
 Every sequential-cell group of the device (the three groups of section 4.2
 plus the FPU register file) is an injectable target with a known bit count.
-The beam chooses *where* a strike lands weighted by bit count (uniform area
-density); tests use the deterministic per-target API directly.
+Each target is the storage array itself: the array alone knows how its
+words are addressed, checked and struck (``inject_flat``, ``peek_flat``,
+``word_of``, ``is_latent``), so the injector is a table from target name to
+array.  The beam chooses *where* a strike lands weighted by bit count
+(uniform area density); tests use the deterministic per-target API directly.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -18,17 +20,30 @@ from repro.errors import InjectionError
 
 @dataclass(frozen=True)
 class SeuTarget:
-    """One injectable storage group."""
+    """One injectable storage group: the methods of the array that stores
+    it, plus its geometry."""
 
     name: str
     bits: int
     inject_flat: Callable[[int], object]
     #: Physical RAM geometry: consecutive flat bits within one word are
     #: adjacent cells (for the MBU model); flip-flops have no row geometry.
-    bits_per_word: int = 0
-    #: Read the current value of one stored bit (persistent-fault support);
-    #: None for targets that cannot host stuck-at cells.
-    peek_flat: Optional[Callable[[int], int]] = None
+    bits_per_word: int
+    #: Read the stored bit ``inject_flat`` would flip (stuck-at support).
+    peek_flat: Callable[[int], int]
+    #: The word index a flat bit lands in, as the array's check reports
+    #: it on detection; None for flip-flops.
+    word_of: Callable[[int], Optional[int]]
+    #: Is an undetected upset in this word still resident (latent) rather
+    #: than overwritten unobserved (masked)?
+    is_latent: Callable[[Optional[int]], bool]
+
+    @classmethod
+    def of(cls, name: str, array) -> "SeuTarget":
+        """The target over a storage array."""
+        return cls(name, array.total_bits, array.inject_flat,
+                   array.bits_per_word, array.peek_flat, array.word_of,
+                   array.is_latent)
 
 
 @dataclass(frozen=True)
@@ -40,40 +55,29 @@ class PersistentFault:
     value: int
 
 
-def _cache_peek(ram) -> Callable[[int], int]:
-    """Peek closure over a cache RAM (32-bit data plane + check plane)."""
-    def peek(flat_bit: int) -> int:
-        index, bit = divmod(flat_bit, ram.bits_per_word)
-        data, check = ram.read_raw(index)
-        if bit < 32:
-            return (data >> bit) & 1
-        return (check >> (bit - 32)) & 1
-    return peek
+def _flipflop_target(system: LeonSystem) -> SeuTarget:
+    """The flip-flop bank's adapter: a strike must also mark the system's
+    bank dirty, because the pending TMR scrub is system state."""
+    ffbank = system.ffbank
 
-
-def _regfile_peek(regfile) -> Callable[[int], int]:
-    """Peek closure mirroring ``RegisterFile.inject_flat`` addressing."""
-    def peek(flat_bit: int) -> int:
-        per_copy = regfile.words * regfile.bits_per_word
-        copy, rest = divmod(flat_bit, per_copy)
-        physical, bit = divmod(rest, regfile.bits_per_word)
-        if bit < 32:
-            return (regfile._data[copy][physical] >> bit) & 1
-        return (regfile._check[copy][physical] >> (bit - 32)) & 1
-    return peek
-
-
-def _memory_peek(memory) -> Callable[[int], int]:
-    """Peek closure mirroring ``ExternalMemory.inject_flat`` addressing."""
-    per_word = 39 if memory.edac else 32
+    def inject(flat_bit: int) -> str:
+        name = ffbank.inject_flat(flat_bit, lane=0)
+        system.mark_ffbank_dirty()
+        return name
 
     def peek(flat_bit: int) -> int:
-        index, bit = divmod(flat_bit, per_word)
-        data, check = memory.read_raw(index * 4)
-        if bit < 32:
-            return (data >> bit) & 1
-        return (check >> (bit - 32)) & 1
-    return peek
+        # Lane 0 -- the lane inject flips.  With TMR the voter out-votes a
+        # single stuck lane, which is the correct physics.
+        reg, bit = ffbank.locate_bit(flat_bit)
+        return (reg.lane_value(0) >> bit) & 1
+
+    def is_latent(word: Optional[int]) -> bool:
+        # With TMR a pending scrub still holds the corruption; without
+        # TMR the flipped lane is never repaired at all.
+        return not ffbank.tmr or system._ffbank_dirty
+
+    return SeuTarget("flipflops", ffbank.total_bits, inject, 0, peek,
+                     lambda flat_bit: None, is_latent)
 
 
 class FaultInjector:
@@ -82,71 +86,31 @@ class FaultInjector:
     def __init__(self, system: LeonSystem, *,
                  include_external_memory: bool = False) -> None:
         self.system = system
-        self.targets: Dict[str, SeuTarget] = {}  # state: wiring -- target registry, rebuilt by _build_targets()
+        #: Target name -> target, in the order the beam draws from.
+        self.targets: Dict[str, SeuTarget] = {}
         self._build_targets(include_external_memory)
-        self.injections: List[str] = []
         #: Registered stuck-at cells, re-asserted by the campaign at every
         #: execution-chunk boundary (:meth:`reassert_persistent`).
         self._persistent: List[PersistentFault] = []
 
     def _build_targets(self, include_external_memory: bool) -> None:
         system = self.system
-        icache, dcache = system.icache, system.dcache
-        for name, ram in (("icache-tag", icache.tag_ram),
-                          ("icache-data", icache.data_ram),
-                          ("dcache-tag", dcache.tag_ram),
-                          ("dcache-data", dcache.data_ram)):
-            self._add(SeuTarget(
-                name, ram.total_bits, ram.inject_flat, ram.bits_per_word,
-                peek_flat=_cache_peek(ram)))
-        regfile = system.regfile
-        self._add(SeuTarget(
-            "regfile", regfile.total_bits, regfile.inject_flat,
-            regfile.bits_per_word, peek_flat=_regfile_peek(regfile)))
+        icache, dcache, memctrl = system.icache, system.dcache, system.memctrl
+        arrays = [("icache-tag", icache.tag_ram),
+                  ("icache-data", icache.data_ram),
+                  ("dcache-tag", dcache.tag_ram),
+                  ("dcache-data", dcache.data_ram),
+                  ("regfile", system.regfile)]
         if system.fpu is not None:
-            fpu = system.fpu
-            per_word = fpu.bits_per_word  # f-regs share the regfile scheme
-
-            def inject_fpreg(flat_bit: int):
-                index, bit = divmod(flat_bit, per_word)
-                fpu.inject(index, bit)
-                return index, bit
-
-            def peek_fpreg(flat_bit: int) -> int:
-                index, bit = divmod(flat_bit, per_word)
-                if bit < 32:
-                    return (fpu._regs[index] >> bit) & 1
-                return (fpu._checks[index] >> (bit - 32)) & 1
-
-            self._add(SeuTarget("fpregs", 32 * per_word, inject_fpreg, per_word,
-                                peek_flat=peek_fpreg))
-
-        ffbank = system.ffbank
-
-        def inject_ff(flat_bit: int):
-            name = ffbank.inject_flat(flat_bit, lane=0)
-            system.mark_ffbank_dirty()
-            return name
-
-        def peek_ff(flat_bit: int) -> int:
-            # Lane 0 -- the lane inject_flat flips.  With TMR the voter
-            # out-votes a single stuck lane, which is the correct physics.
-            reg, bit = ffbank.locate_bit(flat_bit)
-            return (reg.lane_value(0) >> bit) & 1
-
-        self._add(SeuTarget("flipflops", ffbank.total_bits, inject_ff, 0,
-                            peek_flat=peek_ff))
-
+            arrays.append(("fpregs", system.fpu))
+        targets = [SeuTarget.of(name, array) for name, array in arrays]
+        targets.append(_flipflop_target(system))
         if include_external_memory:
-            for memory in (system.memctrl.prom_memory, system.memctrl.sram_memory,
-                           system.memctrl.io_memory):
-                self._add(SeuTarget(
-                    f"ext-{memory.name}", memory.total_bits, memory.inject_flat,
-                    39 if memory.edac else 32,
-                    peek_flat=_memory_peek(memory)))
-
-    def _add(self, target: SeuTarget) -> None:
-        self.targets[target.name] = target
+            targets += [SeuTarget.of(f"ext-{memory.name}", memory)
+                        for memory in (memctrl.prom_memory,
+                                       memctrl.sram_memory,
+                                       memctrl.io_memory)]
+        self.targets = {target.name: target for target in targets}
 
     # -- queries ---------------------------------------------------------------
 
@@ -166,19 +130,11 @@ class FaultInjector:
         correlation: the same index the protection layer reports when it
         detects the error.  ``None`` for targets without word geometry
         (flip-flops)."""
-        target = self.target(name)
-        if name == "regfile":
-            regfile = self.system.regfile
-            per_copy = regfile.words * regfile.bits_per_word
-            return (flat_bit % per_copy) // regfile.bits_per_word
-        if target.bits_per_word:
-            return flat_bit // target.bits_per_word
-        return None
+        return self.target(name).word_of(flat_bit)
 
     def is_latent(self, name: str, word: Optional[int]) -> bool:
         """Is an undetected upset at this site still resident at end of
         run (latent), as opposed to overwritten unobserved (masked)?"""
-        system = self.system
         # A stuck-at cell is latent by definition until repaired: rewriting
         # the golden value does not remove the defect, so a persistent
         # fault at this site must never downgrade to "masked" even after
@@ -188,41 +144,7 @@ class FaultInjector:
                 continue
             if word is None or self.locate(name, entry.flat_bit) == word:
                 return True
-        if name == "icache-tag":
-            return word in system.icache.tag_ram._suspect
-        if name == "icache-data":
-            return word in system.icache.data_ram._suspect
-        if name == "dcache-tag":
-            return word in system.dcache.tag_ram._suspect
-        if name == "dcache-data":
-            return word in system.dcache.data_ram._suspect
-        if name == "regfile":
-            return word in system.regfile._suspect
-        if name == "fpregs":
-            fpu = system.fpu
-            if fpu is None or word is None:
-                return True
-            return fpu.codec.encode(fpu._regs[word]) != fpu._checks[word]
-        if name == "flipflops":
-            # With TMR a pending scrub still holds the corruption; without
-            # TMR the flipped lane is never repaired at all.
-            if not system.ffbank.tmr:
-                return True
-            return system._ffbank_dirty
-        # External memories carry no suspect tracking; treat an
-        # undetected upset there as resident.
-        return True
-
-    # -- state capture ---------------------------------------------------------
-
-    def capture(self) -> dict:
-        """The injection log plus any registered persistent faults."""
-        return {"injections": tuple(self.injections),
-                "persistent": tuple(self._persistent)}
-
-    def restore(self, state: dict) -> None:
-        self.injections = list(state["injections"])
-        self._persistent = list(state.get("persistent", ()))
+        return self.target(name).is_latent(word)
 
     # -- injection ----------------------------------------------------------------
 
@@ -233,7 +155,6 @@ class FaultInjector:
             raise InjectionError(
                 f"flat bit {flat_bit} outside target {name!r} ({target.bits} bits)")
         target.inject_flat(flat_bit)
-        self.injections.append(name)
 
     # -- persistent (stuck-at) faults --------------------------------------------
 
@@ -256,12 +177,8 @@ class FaultInjector:
         if not 0 <= flat_bit < target.bits:
             raise InjectionError(
                 f"flat bit {flat_bit} outside target {name!r} ({target.bits} bits)")
-        if target.peek_flat is None:
-            raise InjectionError(
-                f"target {name!r} does not support persistent faults")
         entry = PersistentFault(name, flat_bit, 1 if value else 0)
         self._persistent.append(entry)
-        self.injections.append(f"{name}@stuck-{entry.value}")
         self._force(entry)
         return entry
 
@@ -282,23 +199,6 @@ class FaultInjector:
                 forced += 1
         return forced
 
-    def inject_random(self, rng: random.Random,
-                      weights: Optional[Dict[str, float]] = None) -> str:
-        """Area-weighted random strike; returns the struck target name.
-
-        ``weights`` scales each target's effective area (the beam passes
-        sigma(LET) ratios here); unlisted targets get weight 1.
-        """
-        names = list(self.targets)
-        areas = [
-            self.targets[name].bits * (weights.get(name, 1.0) if weights else 1.0)
-            for name in names
-        ]
-        name = rng.choices(names, weights=areas, k=1)[0]
-        target = self.targets[name]
-        self.inject(name, rng.randrange(target.bits))
-        return name
-
     def inject_adjacent(self, name: str, flat_bit: int) -> int:
         """MBU companion strike: flip the cell adjacent to ``flat_bit``.
 
@@ -314,5 +214,4 @@ class FaultInjector:
         if neighbour < 0:
             raise InjectionError("target too small for an adjacent strike")
         target.inject_flat(neighbour)
-        self.injections.append(f"{name}+mbu")
         return neighbour

@@ -11,7 +11,7 @@ the fault model a campaign parameter:
     The existing heavy-ion behavior, delegating scheduling and
     application to :class:`~repro.fault.beam.HeavyIonBeam` so the default
     campaign stays byte-identical to the pre-model-layer code (RNG draw
-    order, MBU companions, injection log entries).
+    order, MBU companions).
 ``stuck-at-0`` / ``stuck-at-1``
     Persistent cell defects.  Arrival sites reuse the beam's Poisson
     schedule (a stuck cell is "where the particle would have struck"),
@@ -52,6 +52,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
+from repro.core.config import LeonConfig
 from repro.errors import ConfigurationError
 from repro.fault.beam import HeavyIonBeam, Strike
 from repro.fault.injector import FaultInjector
@@ -176,9 +177,8 @@ class SingleEventUpset(FaultModel):
     """Transient bit flips: the paper's heavy-ion beam, unchanged.
 
     Scheduling and application delegate to
-    :class:`~repro.fault.beam.HeavyIonBeam`, so RNG draw order, MBU
-    companion strikes, and the injection log are byte-identical to the
-    pre-model-layer campaign.
+    :class:`~repro.fault.beam.HeavyIonBeam`, so RNG draw order and MBU
+    companion strikes are byte-identical to the pre-model-layer campaign.
     """
 
     kind = "seu"
@@ -355,7 +355,8 @@ def validate_attack_params(params: Dict[str, Any]) -> None:
     an integer data-word bit in 0..31.  Absent keys keep their defaults.
     Raises ConfigurationError naming the first bad parameter; ``repro
     attack`` and ``POST /api/jobs`` call it on their input, and the
-    attack models call it before scheduling.
+    attack models call it before scheduling.  Whether the parameters
+    name a valid site is :func:`validate_attack_site`'s question.
     """
     pc = params.get("pc")
     if pc is not None and not _is_int(pc):
@@ -378,14 +379,13 @@ def validate_attack_params(params: Dict[str, Any]) -> None:
             f"got {bit!r}")
 
 
-def _attack_site(config, injector: FaultInjector) -> Tuple[int, int]:
-    """``(absolute address, local sram offset)`` of the attacked word.
+def _attack_window(config) -> Tuple[int, int]:
+    """``(pc, window)`` of an attack config whose site is valid.
 
-    ``fault_params['pc']`` anchors the attack; a ``window`` of N words
-    picks one word in ``[pc, pc + 4N)`` with the run's seed, so a sweep
-    over seeds covers the window.  Campaign programs load into SRAM, and
-    the attack space is declared accordingly -- a PC outside the SRAM
-    bank is a configuration error.
+    An attack needs an integer, word-aligned ``pc``, and its whole window
+    ``[pc, pc + 4 * window)`` must lie in the SRAM bank of the campaign's
+    device (``config.leon``, LEON-express by default): campaign programs
+    load there.  Raises ConfigurationError naming the problem.
     """
     params = config.fault_params
     validate_attack_params(params)
@@ -393,16 +393,42 @@ def _attack_site(config, injector: FaultInjector) -> Tuple[int, int]:
     if pc is None:
         raise ConfigurationError(
             "attack models need fault_params['pc'] (the target instruction)")
+    if pc % 4:
+        raise ConfigurationError(f"attack pc {pc:#x} is not word-aligned")
     window = params.get("window", 1)
+    memory = (config.leon or LeonConfig.leon_express()).memory
+    base, end = memory.sram_base, memory.sram_base + memory.sram_bytes
+    if pc < base or pc + 4 * window > end:
+        raise ConfigurationError(
+            f"attack window [{pc:#x}, {pc + 4 * window:#x}) is not inside "
+            f"the SRAM bank [{base:#x}, {end:#x}), where programs load")
+    return pc, window
+
+
+def validate_attack_site(config) -> None:
+    """Refuse an attack config that names no valid site, before any run.
+
+    ``repro attack`` and ``POST /api/jobs`` call it on the config they
+    build, and every attack run applies the same check when it
+    schedules.  Configs of the other fault models pass.
+    """
+    model = MODELS.get(config.fault_model)
+    if model is not None and issubclass(model, _Attack):
+        _attack_window(config)
+
+
+def _attack_site(config, injector: FaultInjector) -> Tuple[int, int]:
+    """``(absolute address, local sram offset)`` of the attacked word.
+
+    ``fault_params['pc']`` anchors the attack; a ``window`` of N words
+    picks one word in ``[pc, pc + 4N)`` with the run's seed, so a sweep
+    over seeds covers the window.
+    """
+    pc, window = _attack_window(config)
     if window > 1:
         rng = random.Random(config.seed)
         pc += 4 * rng.randrange(window)
-    sram = injector.system.memctrl.sram
-    if not sram.covers(pc):
-        raise ConfigurationError(
-            f"attack pc {pc:#x} is outside the SRAM bank (programs load "
-            f"at {sram.base:#x})")
-    return pc, pc - sram.base
+    return pc, pc - injector.system.memctrl.sram.base
 
 
 class _Attack:
@@ -417,8 +443,7 @@ class _Attack:
     def _plan(self, injector: FaultInjector, *, bit: int,
               info: Dict[str, Any]) -> List[PlannedFault]:
         address, local = _attack_site(self.config, injector)
-        memory = injector.system.memctrl.sram_memory
-        per_word = 39 if memory.edac else 32
+        per_word = injector.system.memctrl.sram_memory.bits_per_word
         time_s = float(self.config.fault_params.get("time_s", 0.0))
         flat_bit = (local // 4) * per_word + bit
         payload = {"address": address, **info}

@@ -55,11 +55,6 @@ from repro.fault.models import (
 _ACE_CACHE: Dict[tuple, object] = {}
 
 
-def clear_ace_cache() -> None:
-    """Drop cached ACE maps (tests that mutate program builders)."""
-    _ACE_CACHE.clear()
-
-
 @register_model
 class LiveSiteUpset(FaultModel):
     """Transient bit flips restricted to statically-live sites.

@@ -156,6 +156,10 @@ class Fpu:
     def bits_per_word(self) -> int:
         return 32 + self.protection.check_bits
 
+    @property
+    def total_bits(self) -> int:
+        return 32 * self.bits_per_word
+
     def inject(self, index: int, bit: int) -> None:
         """Flip one stored bit of an f-register (0..31 data, then check)."""
         if 0 <= bit < 32:
@@ -164,6 +168,29 @@ class Fpu:
             self._checks[index & 0x1F] ^= 1 << (bit - 32)
         else:
             raise InjectionError(f"bit {bit} out of range for f-register")
+
+    def inject_flat(self, flat_bit: int) -> Tuple[int, int]:
+        """Flip the ``flat_bit``-th stored bit; returns (index, bit)."""
+        if not 0 <= flat_bit < self.total_bits:
+            raise InjectionError("flat bit outside the f-registers")
+        index, bit = divmod(flat_bit, self.bits_per_word)
+        self.inject(index, bit)
+        return index, bit
+
+    def peek_flat(self, flat_bit: int) -> int:
+        """The stored bit :meth:`inject_flat` would flip."""
+        index, bit = divmod(flat_bit, self.bits_per_word)
+        return ((self._checks[index] << 32 | self._regs[index]) >> bit) & 1
+
+    def word_of(self, flat_bit: int) -> int:
+        """The f-register a flat bit lands in."""
+        return flat_bit // self.bits_per_word
+
+    def is_latent(self, word: int) -> bool:
+        """Is an undetected upset in f-register *word* still resident?
+        The f-registers keep no suspect set: the stored check bits are
+        compared with the data's."""
+        return self.codec.encode(self._regs[word]) != self._checks[word]
 
     # -- typed views ------------------------------------------------------------------
 

@@ -11,12 +11,16 @@ three groups and protects each with a scheme matched to its structure:
                           with a pipeline restart on a correctable error;
 * flip-flops           -- triple modular redundancy with a voter and three
                           separate clock trees (:mod:`repro.ft.tmr`);
-* external memory      -- an on-chip EDAC implementing the same (32,7) BCH
-                          code (:mod:`repro.ft.edac`).
+* external memory      -- the on-chip EDAC: the memory controller's banks
+                          (:mod:`repro.mem.memctrl`) check every word with
+                          the same (32,7) BCH codec.
+
+Each storage array applies its scheme itself and classifies a word with
+:class:`ErrorKind`; this package holds the codecs, the TMR cells and the
+SET pulse-filter model.
 """
 
 from repro.ft.bch import BCH_CHECK_BITS, BchCodec
-from repro.ft.edac import Edac, EdacResult, EdacStatus
 from repro.ft.parity import (
     DualParityCodec,
     SingleParityCodec,
@@ -41,9 +45,6 @@ __all__ = [
     "ClockTree",
     "Codec",
     "DualParityCodec",
-    "Edac",
-    "EdacResult",
-    "EdacStatus",
     "ErrorKind",
     "FlipFlopBank",
     "ProtectionScheme",

@@ -221,6 +221,24 @@ class RegisterFile:
         self.inject(physical, bit, copy)
         return copy, physical, bit
 
+    def peek_flat(self, flat_bit: int) -> int:
+        """The stored bit :meth:`inject_flat` would flip."""
+        copy, rest = divmod(flat_bit, self.words * self.bits_per_word)
+        physical, bit = divmod(rest, self.bits_per_word)
+        stored = self._check[copy][physical] << 32 | self._data[copy][physical]
+        return (stored >> bit) & 1
+
+    def word_of(self, flat_bit: int) -> int:
+        """The physical word a flat bit lands in: the index the execute
+        stage's check names, the same for both copies of a duplicated
+        file."""
+        per_copy = self.words * self.bits_per_word
+        return (flat_bit % per_copy) // self.bits_per_word
+
+    def is_latent(self, word: int) -> bool:
+        """Is an undetected upset in physical *word* still resident?"""
+        return word in self._suspect
+
     # -- diagnostics ------------------------------------------------------------------------
 
     def scrub_all(self) -> Tuple[int, int]:

@@ -1,8 +1,12 @@
 """The memory controller: PROM / SRAM / I/O decode with the on-chip EDAC.
 
-Each memory area is an AHB slave (:class:`MemoryBank`).  Reads pass through
-the EDAC (when enabled): single errors are corrected in the delivered data
-*and scrubbed back to memory*, double errors return an AHB ERROR response.
+Each memory area is an AHB slave (:class:`MemoryBank`), and the banks are
+the EDAC (paper section 4.6): with EDAC enabled, every word read is
+classified by the shared (32,7) BCH codec.  Single errors are corrected in
+the delivered data *and scrubbed back to memory*, double errors return an
+AHB ERROR response.  Because the caches refill whole lines speculatively,
+an uncorrectable word is not signalled at once; the sub-blocking policy
+that defers it to a precise trap lives in :mod:`repro.cache`.
 Sub-word writes are read-modify-write so the check bits stay consistent; an
 uncorrectable word under a sub-word write also returns ERROR.
 
@@ -19,21 +23,24 @@ from typing import List, Optional
 
 from repro.amba.ahb import AhbSlave, BusResult, TransferSize
 from repro.core.config import MemoryConfig
-from repro.ft.edac import Edac, EdacStatus
+from repro.ft.bch import BchCodec
+from repro.ft.protection import ErrorKind
 from repro.mem.storage import ExternalMemory
 from repro.mem.writeprotect import WriteProtector
+
+#: The stateless (32,7) BCH codec every bank checks its words with.
+_BCH = BchCodec()
 
 
 class MemoryBank(AhbSlave):
     """One decoded memory area (PROM, SRAM or I/O) on the AHB bus."""
 
     def __init__(self, name: str, base: int, memory: ExternalMemory,
-                 waitstates: int, edac: Edac, *, read_only: bool = False,
+                 waitstates: int, *, read_only: bool = False,
                  write_protector: Optional[WriteProtector] = None) -> None:
         super().__init__(name, base, memory.size_bytes)
         self.memory = memory
         self.waitstates = waitstates
-        self.edac = edac
         self.read_only = read_only
         self.write_protector = write_protector
 
@@ -43,15 +50,15 @@ class MemoryBank(AhbSlave):
         data, check = self.memory.read_raw(offset)
         if not self.memory.edac:
             return BusResult(data=data, cycles=1 + self.waitstates)
-        result = self.edac.read(data, check)
-        if result.status is EdacStatus.UNCORRECTABLE:
-            return BusResult(data=data, cycles=1 + self.waitstates, error=True)
-        if result.status is EdacStatus.CORRECTED:
+        result = _BCH.check(data, check)
+        if result.kind is ErrorKind.NONE:
+            return BusResult(data=result.data, cycles=1 + self.waitstates)
+        if result.kind is ErrorKind.CORRECTABLE:
             # Scrub: write the corrected word back so the error cannot pair
             # up with a later upset.
             self.memory.write_raw(offset, result.data, result.check)
             return BusResult(data=result.data, cycles=1 + self.waitstates, corrected=1)
-        return BusResult(data=result.data, cycles=1 + self.waitstates)
+        return BusResult(data=data, cycles=1 + self.waitstates, error=True)
 
     # -- AHB slave interface ----------------------------------------------------
 
@@ -117,19 +124,18 @@ class MemoryController:
 
     def __init__(self, config: MemoryConfig) -> None:
         self.config = config
-        self.edac = Edac()  # state: wiring -- stateless coder shared by the banks
         self.write_protector = WriteProtector(units=2)
         self.prom_memory = ExternalMemory("prom", config.prom_bytes, edac=config.edac)
         self.sram_memory = ExternalMemory("sram", config.sram_bytes, edac=config.edac)
         self.io_memory = ExternalMemory("io", config.io_bytes, edac=False)
         self.prom = MemoryBank("prom", config.prom_base, self.prom_memory,  # state: wiring -- bank decode logic; words live in *_memory
-                               config.prom_waitstates, self.edac,
+                               config.prom_waitstates,
                                write_protector=self.write_protector)
         self.sram = MemoryBank("sram", config.sram_base, self.sram_memory,  # state: wiring -- bank decode logic; words live in *_memory
-                               config.sram_waitstates, self.edac,
+                               config.sram_waitstates,
                                write_protector=self.write_protector)
         self.io = MemoryBank("io", config.io_base, self.io_memory,  # state: wiring -- bank decode logic; words live in *_memory
-                             config.prom_waitstates, self.edac)
+                             config.prom_waitstates)
         # Bound constants for the per-fetch is_cacheable test (the ranges
         # are fixed at construction; two compares beat four attribute
         # loads plus two method calls on every instruction).

@@ -35,10 +35,13 @@ class ExternalMemory:
         return len(self._words)
 
     @property
+    def bits_per_word(self) -> int:
+        """Stored bits per word: the check plane counts only with EDAC."""
+        return 39 if self.edac else 32
+
+    @property
     def total_bits(self) -> int:
-        """Stored bits, including the check plane when EDAC is on."""
-        per_word = 39 if self.edac else 32
-        return self.words * per_word
+        return self.words * self.bits_per_word
 
     def _index(self, address: int) -> int:
         if address % 4:
@@ -115,9 +118,23 @@ class ExternalMemory:
 
     def inject_flat(self, flat_bit: int) -> tuple:
         """Flip the ``flat_bit``-th stored bit; returns (address, bit)."""
-        per_word = 39 if self.edac else 32
-        if not 0 <= flat_bit < self.words * per_word:
+        if not 0 <= flat_bit < self.total_bits:
             raise InjectionError("flat bit index outside memory")
-        index, bit = divmod(flat_bit, per_word)
+        index, bit = divmod(flat_bit, self.bits_per_word)
         self.inject(index * 4, bit)
         return index * 4, bit
+
+    def peek_flat(self, flat_bit: int) -> int:
+        """The stored bit :meth:`inject_flat` would flip."""
+        index, bit = divmod(flat_bit, self.bits_per_word)
+        stored = int(self._check[index]) << 32 | int(self._words[index])
+        return (stored >> bit) & 1
+
+    def word_of(self, flat_bit: int) -> int:
+        """The word index a flat bit lands in (its byte offset over 4)."""
+        return flat_bit // self.bits_per_word
+
+    def is_latent(self, word: int) -> bool:
+        """External memory keeps no suspect set, so an undetected upset
+        counts as still resident."""
+        return True

@@ -57,7 +57,11 @@ from urllib.parse import parse_qs, urlparse
 from repro.errors import ConfigurationError
 from repro.fault.campaign import CampaignConfig, resolve_builder
 from repro.fault.executor import expand_runs
-from repro.fault.models import model_names, validate_attack_params
+from repro.fault.models import (
+    model_names,
+    validate_attack_params,
+    validate_attack_site,
+)
 from repro.fault.results import result_to_dict
 from repro.recovery import POLICIES
 from repro.service.dashboard import DASHBOARD_HTML
@@ -162,6 +166,10 @@ def build_job_request(payload: Dict[str, object]
             fault_model=fault_model, fault_params=dict(fault_params),
         )
         configs.extend(expand_runs(point, runs))
+    try:
+        validate_attack_site(configs[0])  # every point shares the site
+    except ConfigurationError as exc:
+        raise ValueError(f"bad fault_params: {exc}") from None
     name = payload.get("name")
     if name is not None:
         name = str(name)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.amba.ahb import AhbBus, AhbSlave, BusResult, TransferSize
-from repro.errors import BusError, ConfigurationError
+from repro.errors import ConfigurationError
 
 
 class RamSlave(AhbSlave):
@@ -50,11 +50,6 @@ def test_read_write_roundtrip(bus):
 def test_unmapped_address_error_response(bus):
     assert bus.read(0x00000000).error
     assert bus.write(0x99999999, 0).error
-
-
-def test_read_word_checked_raises(bus):
-    with pytest.raises(BusError):
-        bus.read_word_checked(0x70000000)
 
 
 def test_waitstates_reflected_in_cycles(bus):

@@ -128,6 +128,21 @@ def test_beam_numbers_are_validated_at_parse_time(argv, capsys):
     assert f"argument {bad[-2]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["attack", "--skip-at", "0x10"],
+    ["attack", "--opcode-at", "0x10"],
+    ["attack", "--skip-at", "0x403ffff8", "--window", "8"],
+    ["attack", "--opcode-at", "0x40001002"],
+    ["attack", "--skip-at", "no_such_symbol"],
+])
+def test_attack_without_a_valid_site_is_an_argument_error(argv, capsys):
+    """A pc outside SRAM, a window crossing its end, a misaligned pc or an
+    unknown symbol is an argument error (exit 2), not a traceback from
+    runs that fail one by one."""
+    assert main([*argv, *_SMALL_BEAM]) == 2
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
 def test_campaign_device_conflicts_with_result_store(tmp_path, capsys):
     code = main(["campaign", "--device", "standard",
                  "--results", str(tmp_path / "runs.jsonl")])

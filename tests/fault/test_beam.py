@@ -108,9 +108,11 @@ class TestScheduling:
         params = BeamParameters(let=110, flux=400, fluence=5e3, seed=4)
         strikes = beam.schedule(params)
         assert strikes
-        before = list(beam.injector.injections)
-        beam.apply(strikes[0])
-        assert len(beam.injector.injections) > len(before)
+        strike = strikes[0]
+        target = beam.injector.targets[strike.target]
+        before = target.peek_flat(strike.flat_bit)
+        beam.apply(strike)
+        assert target.peek_flat(strike.flat_bit) == 1 - before
 
     def test_higher_let_means_more_upsets(self, beam):
         low = beam.schedule(BeamParameters(let=10, flux=400, fluence=2e4, seed=5))

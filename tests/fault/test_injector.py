@@ -5,8 +5,11 @@ import random
 import pytest
 
 from repro import LeonConfig, LeonSystem
-from repro.errors import InjectionError
+from repro.amba.ahb import TransferSize
+from repro.core.config import FtConfig
+from repro.errors import InjectionError, UncorrectableError
 from repro.fault.injector import FaultInjector
+from repro.ft.protection import ErrorKind, ProtectionScheme
 
 
 @pytest.fixture
@@ -54,28 +57,6 @@ def test_injection_bounds(injector):
         injector.inject("nonexistent", 0)
 
 
-def test_random_injection_is_area_weighted(injector):
-    rng = random.Random(42)
-    hits = {}
-    for _ in range(2000):
-        name = injector.inject_random(rng)
-        hits[name] = hits.get(name, 0) + 1
-    # Cache data arrays dwarf everything else.
-    assert hits["icache-data"] + hits["dcache-data"] > hits.get("flipflops", 0) * 5
-    total = injector.total_bits
-    expected = injector.targets["icache-data"].bits / total
-    observed = hits["icache-data"] / 2000
-    assert abs(observed - expected) < 0.08
-
-
-def test_weighted_injection_respects_scale(injector):
-    rng = random.Random(7)
-    weights = {name: 0.0 for name in injector.targets}
-    weights["regfile"] = 1.0
-    for _ in range(50):
-        assert injector.inject_random(rng, weights) == "regfile"
-
-
 def test_adjacent_injection_same_word(injector):
     system = injector.system
     ram = system.icache.data_ram
@@ -101,7 +82,137 @@ def test_external_memory_targets_optional():
     assert "ext-sram" in with_mem.targets
 
 
-def test_injection_log(injector):
-    injector.inject("regfile", 0)
-    injector.inject("flipflops", 1)
-    assert injector.injections == ["regfile", "flipflops"]
+# -- the fault-surface contract ------------------------------------------------
+
+#: Devices whose every target the contract covers: the flight part, the FT
+#: and standard Table-1 devices, and a duplicated (two-copy) register file.
+DEVICES = {
+    "express": LeonConfig.leon_express(),
+    "ft": LeonConfig.fault_tolerant(),
+    "standard": LeonConfig.standard(),
+    "duplicated-regfile": LeonConfig.fault_tolerant(ft=FtConfig(
+        tmr_flipflops=True, regfile_protection=ProtectionScheme.DUAL_PARITY,
+        regfile_duplicated=True)),
+}
+
+
+def _cache_ram(system, name):
+    cache = system.icache if name.startswith("icache") else system.dcache
+    return cache.tag_ram if name.endswith("-tag") else cache.data_ram
+
+
+def _flagged_words(system, name, word):
+    """The words the struck array's own check flags, or None for an array
+    without a check.  Cache RAMs, the register file and the f-registers
+    are scanned whole; external memory, too large to scan, is read
+    through its EDAC bank at the located word and its two neighbours."""
+    if name.startswith(("icache", "dcache")):
+        ram = _cache_ram(system, name)
+        if ram.scheme is ProtectionScheme.NONE:
+            return None
+        return {index for index in range(ram.words)
+                if ram.read(index)[1] is not ErrorKind.NONE}
+    if name == "regfile":
+        regfile = system.regfile
+        if regfile.protection is ProtectionScheme.NONE:
+            return None
+        return {check.physical
+                for cwp in range(regfile.nwindows) for reg in range(1, 32)
+                for check in [regfile.check_operand(cwp, reg)]
+                if check.kind is not ErrorKind.NONE}
+    if name == "fpregs":
+        fpu = system.fpu
+        if fpu.protection is ProtectionScheme.NONE:
+            return None
+        flagged = set()
+        for index in range(32):
+            try:
+                fpu.read_reg(index)  # corrects in place, charging a restart
+            except UncorrectableError:
+                flagged.add(index)
+            if fpu.take_restart_cycles():
+                flagged.add(index)
+        return flagged
+    if name.startswith("ext-"):
+        bank = getattr(system.memctrl, name[len("ext-"):])
+        if not bank.memory.edac:
+            return None
+        flagged = set()
+        for index in (word - 1, word, word + 1):
+            if 0 <= index < bank.memory.words:
+                read = bank.ahb_read(bank.base + 4 * index, TransferSize.WORD)
+                if read.corrected or read.error:
+                    flagged.add(index)
+        return flagged
+    return None  # flip-flops: the voter names no word
+
+
+@pytest.mark.parametrize("device", sorted(DEVICES))
+def test_every_target_strikes_peeks_and_locates_alike(device):
+    """For sampled flat bits of every target: ``inject_flat`` flips exactly
+    the bit ``peek_flat`` reads (its neighbours in the row and the column
+    keep their values), and ``locate`` names the word the array's own
+    check flags."""
+    system = LeonSystem(DEVICES[device])
+    injector = FaultInjector(system, include_external_memory=True)
+    rng = random.Random(device)
+    for name, target in injector.targets.items():
+        row = target.bits_per_word or target.bits
+        sample = {0, row - 1, target.bits - 1,
+                  *(rng.randrange(target.bits) for _ in range(6))}
+        for flat_bit in sorted(sample):
+            others = [bit for bit in (flat_bit - 1, flat_bit + 1,
+                                      flat_bit - row, flat_bit + row)
+                      if 0 <= bit < target.bits]
+            before = target.peek_flat(flat_bit)
+            around = [target.peek_flat(bit) for bit in others]
+            injector.inject(name, flat_bit)
+            assert target.peek_flat(flat_bit) == 1 - before, (name, flat_bit)
+            assert [target.peek_flat(bit) for bit in others] == around, \
+                (name, flat_bit)
+            word = injector.locate(name, flat_bit)
+            flagged = _flagged_words(system, name, word)
+            # %g0 reads as zero and is never checked on the read path.
+            if flagged is not None and not (name == "regfile" and word == 0):
+                assert flagged == {word}, (name, flat_bit)
+            if target.peek_flat(flat_bit) != before:  # not corrected
+                target.inject_flat(flat_bit)
+
+
+def _rewrite(system, name, word):
+    """Store a fresh value into *word* of the named array, as software
+    does."""
+    if name == "regfile":
+        # Physical word -> (window, register): word 8 + 16w + k is
+        # register 8 + k of window w (word 0 is %g0, never written).
+        cwp, offset = divmod(word - 8, 16)
+        system.regfile.write(cwp, 8 + offset, 0x1234)
+    elif name == "fpregs":
+        system.fpu.write_reg(word, 0x1234)
+    else:
+        _cache_ram(system, name).write(word, 0x1234)
+
+
+@pytest.mark.parametrize("device", sorted(DEVICES))
+def test_a_strike_is_latent_until_its_word_is_rewritten(device):
+    system = LeonSystem(DEVICES[device])
+    injector = FaultInjector(system)
+    rng = random.Random(device)
+    for name in ("icache-tag", "icache-data", "dcache-tag", "dcache-data",
+                 "regfile", "fpregs"):
+        if name not in injector.targets:
+            continue  # no FPU on this device
+        per_word = injector.targets[name].bits_per_word
+        # A bit of word 9 (a window register in the register file), and
+        # for a duplicated register file the same bit of its second copy.
+        flats = [9 * per_word + rng.randrange(per_word)]
+        if name == "regfile" and system.regfile.duplicated:
+            flats.append(flats[0] + system.regfile.words * per_word)
+        for flat in flats:
+            word = injector.locate(name, flat)
+            assert word == 9
+            assert not injector.is_latent(name, word), (name, flat)
+            injector.inject(name, flat)
+            assert injector.is_latent(name, word), (name, flat)
+            _rewrite(system, name, word)
+            assert not injector.is_latent(name, word), (name, flat)

@@ -183,16 +183,6 @@ def test_is_latent_true_for_persistent_sites():
     assert not injector.is_latent("regfile", word + 1)
 
 
-def test_snapshot_roundtrips_persistent_faults():
-    system = LeonSystem(LeonConfig.fault_tolerant())
-    injector = FaultInjector(system)
-    injector.add_persistent("regfile", 40, 1)
-    state = injector.capture()
-    clone = FaultInjector(LeonSystem(LeonConfig.fault_tolerant()))
-    clone.restore(state)
-    assert clone.persistent_faults == injector.persistent_faults
-
-
 # -- determinism matrix --------------------------------------------------------
 
 

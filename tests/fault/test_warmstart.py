@@ -1,6 +1,7 @@
 """Warm-start campaigns: byte-identity to cold runs, effaced early-out."""
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.fault.campaign import (
     warm_start_key,
 )
 from repro.fault.crosssection import measure_curve
-from repro.fault.executor import CampaignExecutor
+from repro.fault.executor import CampaignExecutor, run_campaign
 
 #: Small settings with a real warm-up prefix (0.5 beam-s = 10k instructions).
 WARM = dict(flux=400.0, fluence=300.0, instructions_per_second=20_000.0,
@@ -56,6 +57,35 @@ def test_executor_warm_matches_cold_serial_and_parallel():
     expected = [result.comparable() for result in cold]
     assert [result.comparable() for result in warm_serial] == expected
     assert [result.comparable() for result in warm_parallel] == expected
+
+
+class _SpawnExecutor(CampaignExecutor):
+    """The executor on a ``spawn`` pool: each worker imports the package
+    afresh and gets the warm start pickled through the pool initializer."""
+
+    def _context(self):
+        return multiprocessing.get_context("spawn")
+
+
+def _warm_only_runner(config, warm):
+    """Refuses to run cold, so a worker that never got the warm start
+    fails (warm and cold runs have equal results)."""
+    if warm is None:
+        raise AssertionError("the worker has no warm start")
+    return run_campaign(config, warm)
+
+
+def test_warm_pool_under_spawn_matches_serial():
+    configs = [_config(seed=seed) for seed in (7, 8)]
+    warm = prepare_warm_start(configs[0])
+    serial = CampaignExecutor(1).run_many(configs, warm=warm)
+    # No retries: a worker that fails must fail the test, not be rerun
+    # in this process.
+    spawned = _SpawnExecutor(2, chunksize=1, retries=0,
+                             runner=_warm_only_runner).run_many(
+        configs, warm=warm)
+    assert [result.comparable() for result in spawned] == \
+        [result.comparable() for result in serial]
 
 
 def test_measure_curve_warm_start_invariant():

@@ -5,6 +5,7 @@ import pytest
 from repro.amba.ahb import TransferSize
 from repro.core.config import MemoryConfig
 from repro.errors import InjectionError
+from repro.ft.bch import bch_encode
 from repro.mem.memctrl import MemoryController
 from repro.mem.storage import ExternalMemory
 
@@ -74,7 +75,8 @@ class TestMemoryBank:
         assert result.data == 0x11AB3344
         assert not result.error
         # EDAC check bits were regenerated: no false error.
-        assert controller.edac.uncorrectable == 0
+        data, check = controller.sram_memory.read_raw(0)
+        assert check == bch_encode(data)
 
     def test_single_error_corrected_and_scrubbed(self, controller):
         sram = controller.sram

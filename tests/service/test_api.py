@@ -96,6 +96,32 @@ def test_build_job_request_rejects_out_of_range_numbers(overrides):
         build_job_request(dict(TINY_PAYLOAD, **overrides))
 
 
+#: One past the last byte of the default device's SRAM bank.
+_SRAM_END = 0x40000000 + (4 << 20)
+
+
+@pytest.mark.parametrize("model", ["instruction-skip", "opcode"])
+@pytest.mark.parametrize("fault_params", [
+    {},
+    {"pc": 16},
+    {"pc": _SRAM_END - 8, "window": 8},
+    {"pc": 0x40001002},
+])
+def test_attack_without_a_valid_site_is_refused(model, fault_params):
+    """An attack needs a word-aligned pc whose whole window lies in SRAM;
+    otherwise the job would fail run by run inside the scheduler."""
+    with pytest.raises(ValueError, match="bad fault_params"):
+        build_job_request(dict(TINY_PAYLOAD, fault_model=model,
+                               fault_params=fault_params))
+
+
+def test_attack_site_at_the_end_of_sram_is_accepted():
+    configs, _name, _options = build_job_request(dict(
+        TINY_PAYLOAD, fault_model="opcode",
+        fault_params={"pc": _SRAM_END - 8, "window": 2}))
+    assert len(configs) == 1
+
+
 # -- the server ----------------------------------------------------------------
 
 
@@ -241,6 +267,19 @@ def test_bad_attack_params_answer_400_and_create_no_job(server):
         urllib.request.urlopen(request)
     assert err.value.code == 400
     assert "time_s" in err.value.read().decode()
+    assert len(_call(server, "/api/jobs")["jobs"]) == jobs
+
+
+def test_attack_without_a_site_answers_400_and_creates_no_job(server):
+    jobs = len(_call(server, "/api/jobs")["jobs"])
+    body = json.dumps(dict(TINY_PAYLOAD, fault_model="opcode"))
+    request = urllib.request.Request(
+        server.url + "/api/jobs", data=body.encode(),
+        headers={"Content-Type": "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request)
+    assert err.value.code == 400
+    assert "pc" in err.value.read().decode()
     assert len(_call(server, "/api/jobs")["jobs"]) == jobs
 
 
